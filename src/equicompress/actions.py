@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import build_complex
-from .errors import FormatError, InputMismatchError, NotAnAutomorphismError, RegularityViolationError
+from .errors import (
+    FormatError,
+    GroupTooLargeError,
+    InputMismatchError,
+    NotAnAutomorphismError,
+    RegularityViolationError,
+)
 from .groups import Subgroup, enumerate_from_generators
 
 POINTWISE_FIX = "pointwise-fix"
@@ -51,10 +57,9 @@ class GroupAction:
         self._stab_cache = {}
 
     @classmethod
-    def from_generator_perms(cls, generator_perms, complex_, max_order=None):
+    def from_generator_perms(cls, generator_perms, complex_):
         """Close vertex permutations into a group acting on ``complex_``."""
-        kwargs = {} if max_order is None else {"max_order": max_order}
-        group = enumerate_from_generators(generator_perms, complex_.vertex_count, **kwargs)
+        group = enumerate_from_generators(generator_perms, complex_.vertex_count)
         return cls(group, complex_, group.permutations)
 
     def _validate_and_tabulate(self):
@@ -98,7 +103,7 @@ class GroupAction:
     def orb(self, sid):
         """Sorted duplicate-free orbit of a simplex."""
         if self.op_counts is not None:
-            self.op_counts.add("orb")
+            self.op_counts["orb"] += 1
         cached = self._orbit_cache.get(sid)
         if cached is None:
             cached = sorted({table[sid] for table in self._simplex_images})
@@ -109,7 +114,7 @@ class GroupAction:
     def stab(self, sid):
         """Setwise stabilizer subgroup of a simplex."""
         if self.op_counts is not None:
-            self.op_counts.add("stab")
+            self.op_counts["stab"] += 1
         cached = self._stab_cache.get(sid)
         if cached is None:
             members = [g for g in range(self.group.order) if self._simplex_images[g][sid] == sid]
@@ -120,7 +125,7 @@ class GroupAction:
     def trans(self, sid, target):
         """Enumeration-minimal g with g*sid = target, or None."""
         if self.op_counts is not None:
-            self.op_counts.add("trans")
+            self.op_counts["trans"] += 1
         if sid == target:
             return 0
         for g in range(self.group.order):
@@ -221,8 +226,9 @@ def induced_action_on_subdivision(action, subdivision):
     """Push an action through a barycentric subdivision of its complex."""
     if subdivision.source is not action.complex:
         raise InputMismatchError("subdivision does not source the action's complex")
+    # subdivision vertex ids are source simplex ids
     images = [
-        [action.act_on_simplex(g, subdivision.vertex_to_simplex[v]) for v in range(len(subdivision.source))]
+        [action.act_on_simplex(g, sid) for sid in range(len(subdivision.source))]
         for g in range(action.group.order)
     ]
     return GroupAction(action.group, subdivision.target, images)
@@ -258,6 +264,7 @@ def action_from_doc(doc, complex_, location="$"):
         if (
             not isinstance(perm, list)
             or len(perm) != complex_.vertex_count
+            or not all(type(v) is int for v in perm)
             or sorted(perm) != list(range(complex_.vertex_count))
         ):
             raise FormatError(
@@ -267,5 +274,5 @@ def action_from_doc(doc, complex_, location="$"):
         perms.append(perm)
     try:
         return GroupAction.from_generator_perms(perms, complex_)
-    except NotAnAutomorphismError as exc:
+    except (GroupTooLargeError, NotAnAutomorphismError) as exc:
         raise FormatError(str(exc), f"{location}.group.generators") from exc

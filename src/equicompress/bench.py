@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 
 from .compress import compress
 from .families import cycle_rotation_action, dihedral_cycle_action, wheel_rotation_action
-from .instrumentation import SUBROUTINES, CompressStats, OpCounter, ReconstructStats
 from .reconstruct import reconstruct
+
+# Group and action subroutines whose invocations are counted exactly.
+SUBROUTINES = ("prod", "inv", "minrep", "orb", "stab", "trans")
 
 FAMILIES = {
     "cycle": cycle_rotation_action,
@@ -29,47 +32,41 @@ RECONSTRUCT_EXPONENT_BOUND = 2.0
 EXPONENT_SLACK = 0.3
 
 CSV_COLUMNS = (
-    ["fixture", "k", "n", "simplices", "f", "h", "workers"]
+    ["fixture", "k", "n", "simplices", "f", "h"]
     + ["compress_seconds", "reconstruct_seconds"]
     + [f"compress_{name}" for name in SUBROUTINES]
     + [f"reconstruct_{name}" for name in SUBROUTINES]
 )
 
 
-def _counted(action, fn):
-    """Run fn with fresh counters on the action's group and return counts."""
-    counter = OpCounter()
-    action.group.op_counts = counter
-    action.op_counts = counter
+def counted(action, fn):
+    """Run fn with fresh counters on the action and its group; return counts."""
+    counts = Counter()
+    action.group.op_counts = counts
+    action.op_counts = counts
     try:
         out = fn()
     finally:
         action.group.op_counts = None
         action.op_counts = None
-    return out, counter.snapshot()
+    return out, counts
 
 
-def bench_one(family, order, workers=1, repeats=1):
+def bench_one(family, order, repeats=1):
     """One BenchReport row: run the family member at the given group order."""
     action = FAMILIES[family](order)
     complex_ = action.complex
 
     best_compress = math.inf
     for _ in range(max(1, repeats)):
-        cstats = CompressStats()
         t0 = time.perf_counter()
-        (triple, certificate), compress_counts = _counted(
-            action, lambda: compress(action, threads=workers, stats=cstats)
-        )
+        (triple, certificate), compress_counts = counted(action, lambda: compress(action))
         best_compress = min(best_compress, time.perf_counter() - t0)
 
     best_reconstruct = math.inf
     for _ in range(max(1, repeats)):
-        rstats = ReconstructStats()
         t0 = time.perf_counter()
-        rc, reconstruct_counts = _counted(
-            action, lambda: reconstruct(triple, threads=workers, stats=rstats)
-        )
+        rc, reconstruct_counts = counted(action, lambda: reconstruct(triple))
         best_reconstruct = min(best_reconstruct, time.perf_counter() - t0)
 
     f = max(len(action.orb(sid)) for sid in range(len(complex_)))
@@ -81,7 +78,6 @@ def bench_one(family, order, workers=1, repeats=1):
         "simplices": len(complex_),
         "f": f,
         "h": h,
-        "workers": workers,
         "compress_seconds": best_compress,
         "reconstruct_seconds": best_reconstruct,
     }
@@ -91,14 +87,9 @@ def bench_one(family, order, workers=1, repeats=1):
     return row, triple, rc
 
 
-def run_bench(family, orders, workers=(1,), repeats=1):
-    """BenchReport rows for a family over several orders and worker counts."""
-    rows = []
-    for order in orders:
-        for w in workers:
-            row, _, _ = bench_one(family, order, workers=w, repeats=repeats)
-            rows.append(row)
-    return rows
+def run_bench(family, orders, repeats=1):
+    """BenchReport rows for a family over several group orders."""
+    return [bench_one(family, order, repeats=repeats)[0] for order in orders]
 
 
 def fit_exponent(ks, times):
@@ -115,12 +106,11 @@ def fit_exponent(ks, times):
 
 
 def growth_exponents(rows):
-    """Fitted wall-time exponents per phase from single-worker rows."""
-    singles = [r for r in rows if r["workers"] == 1]
-    ks = [r["k"] for r in singles]
+    """Fitted wall-time exponents per phase."""
+    ks = [r["k"] for r in rows]
     return {
-        "compress": fit_exponent(ks, [r["compress_seconds"] for r in singles]),
-        "reconstruct": fit_exponent(ks, [r["reconstruct_seconds"] for r in singles]),
+        "compress": fit_exponent(ks, [r["compress_seconds"] for r in rows]),
+        "reconstruct": fit_exponent(ks, [r["reconstruct_seconds"] for r in rows]),
     }
 
 

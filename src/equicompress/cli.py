@@ -31,13 +31,19 @@ EXIT_MATH = 1
 EXIT_INPUT = 2
 
 
-def _dump(doc, path):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _write(text, path):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
+def _dump(doc, path):
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", path)
 
 
 def _load_json(path):
@@ -106,9 +112,7 @@ def cmd_quotient(args):
 def cmd_compress(args):
     action = _load_action(args.complex, args.action)
     try:
-        triple, certificate = compress(
-            action, lift_policy=args.lift_policy, threads=args.threads
-        )
+        triple, certificate = compress(action, lift_policy=args.lift_policy)
     except RegularityViolationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
@@ -128,7 +132,7 @@ def cmd_compress(args):
 def cmd_reconstruct(args):
     triple, _ = _load_triple(args.triple)
     try:
-        rc = reconstruct(triple, threads=args.threads)
+        rc = reconstruct(triple)
     except TripleValidationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
@@ -145,14 +149,12 @@ def cmd_reconstruct(args):
 def cmd_roundtrip(args):
     action = _load_action(args.complex, args.action)
     try:
-        triple, certificate = compress(
-            action, lift_policy=args.lift_policy, threads=args.threads
-        )
+        triple, certificate = compress(action, lift_policy=args.lift_policy)
     except RegularityViolationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
     try:
-        rc = reconstruct(triple, threads=args.threads)
+        rc = reconstruct(triple)
     except TripleValidationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
@@ -169,21 +171,21 @@ def cmd_validate_triple(args):
 
 
 def cmd_bench(args):
-    rows = []
-    for w in args.threads_list:
-        rows.extend(run_bench(args.family, args.orders, workers=(w,), repeats=args.repeats))
-    exponents = growth_exponents(rows) if len(args.orders) > 1 and 1 in args.threads_list else None
-    text = rows_to_csv(rows, exponents)
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rows = run_bench(args.family, args.orders, repeats=args.repeats)
+    exponents = growth_exponents(rows) if len(args.orders) > 1 else None
+    _write(rows_to_csv(rows, exponents), args.out)
     return EXIT_OK
 
 
 def _int_list(text):
     return [int(v) for v in text.split(",") if v]
+
+
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser():
@@ -206,29 +208,24 @@ def build_parser():
         if flags.get("triple"):
             p.add_argument("--triple", required=True, help="compressed triple JSON file")
         p.add_argument("--out", help="output file (default: stdout)")
-        if flags.get("threads"):
-            p.add_argument("--threads", type=int, default=1)
         if flags.get("policy"):
             p.add_argument("--lift-policy", choices=LIFT_POLICIES, default="lex-min")
         if flags.get("times"):
-            p.add_argument("--times", type=int, default=2)
+            p.add_argument("--times", type=_non_negative_int, default=2)
         p.set_defaults(fn=fn)
         return p
 
     add("check-regular", cmd_check_regular, complex=True, action="required")
     add("subdivide", cmd_subdivide, complex=True, action="optional", times=True)
     add("quotient", cmd_quotient, complex=True, action="required")
-    add("compress", cmd_compress, complex=True, action="required", threads=True, policy=True)
-    add("reconstruct", cmd_reconstruct, triple=True, threads=True)
-    add("roundtrip", cmd_roundtrip, complex=True, action="required", threads=True, policy=True)
+    add("compress", cmd_compress, complex=True, action="required", policy=True)
+    add("reconstruct", cmd_reconstruct, triple=True)
+    add("roundtrip", cmd_roundtrip, complex=True, action="required", policy=True)
     add("validate-triple", cmd_validate_triple, triple=True)
 
     bench = sub.add_parser("bench")
     bench.add_argument("--family", choices=sorted(FAMILIES), default="cycle")
     bench.add_argument("--orders", type=_int_list, default=[2, 3, 4, 6, 8, 12])
-    bench.add_argument(
-        "--threads", dest="threads_list", type=_int_list, default=[1]
-    )
     bench.add_argument("--repeats", type=int, default=1)
     bench.add_argument("--out")
     bench.set_defaults(fn=cmd_bench)

@@ -172,7 +172,7 @@ def triple_from_doc(doc, location="$"):
     for i, members in enumerate(stabilizers_doc):
         where = f"{location}.stabilizers[{i}]"
         if not isinstance(members, list) or not all(
-            isinstance(g, int) and 0 <= g < group.order for g in members
+            type(g) is int and 0 <= g < group.order for g in members
         ):
             raise FormatError("subgroup must be a list of element indices", where)
         try:
@@ -186,7 +186,7 @@ def triple_from_doc(doc, location="$"):
     transfers = {}
     for i, entry in enumerate(transfers_doc):
         where = f"{location}.transfers[{i}]"
-        if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(v, int) for v in entry)):
+        if not (isinstance(entry, list) and len(entry) == 3 and all(type(v) is int for v in entry)):
             raise FormatError("transfer entry must be [parent, child, element]", where)
         parent, child, g = entry
         if not (0 <= parent < len(quotient) and child in quotient.faces_codim1(parent)):
@@ -207,7 +207,7 @@ def triple_from_doc(doc, location="$"):
         p = cert_doc.get("p")
         lifts = cert_doc.get("lift")
         if not isinstance(p, list) or not all(
-            isinstance(y, int) and 0 <= y < len(quotient) for y in p
+            type(y) is int and 0 <= y < len(quotient) for y in p
         ):
             raise FormatError(
                 "p must map simplex ids to quotient ids", f"{location}.certificate.p"
@@ -215,7 +215,7 @@ def triple_from_doc(doc, location="$"):
         if (
             not isinstance(lifts, list)
             or len(lifts) != len(quotient)
-            or not all(isinstance(x, int) and 0 <= x < len(p) for x in lifts)
+            or not all(type(x) is int and 0 <= x < len(p) for x in lifts)
         ):
             raise FormatError(
                 "lift must choose one source simplex per quotient simplex",

@@ -71,7 +71,7 @@ def build_complex(maximal_simplices, vertex_count=None):
     max_vertex = -1
     for raw in maximal_simplices:
         verts = list(raw)
-        if any((not isinstance(v, int)) or v < 0 for v in verts):
+        if any(type(v) is not int or v < 0 for v in verts):
             raise MalformedSimplexError(f"vertex ids must be non-negative: {raw}")
         if len(set(verts)) != len(verts):
             raise MalformedSimplexError(f"duplicate vertices within a simplex: {raw}")
@@ -98,12 +98,11 @@ def complexes_equal(a, b):
 
 
 class SubdivisionMap:
-    """Barycentric subdivision with its vertex-to-source-simplex assignment."""
+    """A barycentric subdivision: target vertex v is the barycenter of source simplex v."""
 
-    def __init__(self, source, target, vertex_to_simplex):
+    def __init__(self, source, target):
         self.source = source
         self.target = target
-        self.vertex_to_simplex = vertex_to_simplex
 
 
 def barycentric_subdivision(source):
@@ -129,7 +128,7 @@ def barycentric_subdivision(source):
         if not source.cofaces_up[sid]:
             maximal_chains.extend(flags(sid))
     target = build_complex(maximal_chains, vertex_count=len(source))
-    return SubdivisionMap(source, target, list(range(len(source))))
+    return SubdivisionMap(source, target)
 
 
 def complex_to_doc(complex_):
@@ -144,7 +143,7 @@ def complex_from_doc(doc, location="$"):
         raise FormatError("complex must be an object", location)
     vertices = doc.get("vertices")
     maximal = doc.get("maximal_simplices")
-    if not isinstance(vertices, int) or vertices < 0:
+    if type(vertices) is not int or vertices < 0:
         raise FormatError("vertices must be a non-negative integer", f"{location}.vertices")
     if not isinstance(maximal, list) or not all(isinstance(s, list) for s in maximal):
         raise FormatError(

@@ -1,15 +1,12 @@
 """Compression: regular action in, (quotient, stabilizers, transfers) out.
 
-Orbit classes are processed one dimension at a time; within a dimension the
-classes are independent and may be handed to a thread pool.  Results are
-merged in canonical class order, so the output is identical for any worker
-count.
+Orbit classes are processed in canonical order: each class records the
+stabilizer of its lift and one transfer per codimension-1 face of the lift.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 from .actions import quotient
 from .cog import CompressedTriple, CompressionCertificate
@@ -17,7 +14,7 @@ from .cog import CompressedTriple, CompressionCertificate
 LIFT_POLICIES = ("lex-min", "lex-max", "equivariant-bfs")
 
 
-def compress(action, lift_policy="lex-min", threads=1, stats=None):
+def compress(action, lift_policy="lex-min"):
     """Run the compression algorithm.
 
     Returns (CompressedTriple, CompressionCertificate).  Raises
@@ -37,47 +34,22 @@ def compress(action, lift_policy="lex-min", threads=1, stats=None):
     else:
         lifts = _equivariant_bfs_lifts(action, orbit_map, fibers)
 
-    stabilizers = [None] * len(quotient_complex)
+    stabilizers = []
     transfers = {}
-
-    def process_class(y):
-        lift = lifts[y]
-        stabilizer = action.stab(lift)
-        entries = []
-        trans_calls = 0
+    for y, lift in enumerate(lifts):
+        stabilizers.append(action.stab(lift))
         for z in action.complex.faces_codim1(lift):
             child = orbit_map[z]
             carrier = action.trans(z, lifts[child])
-            trans_calls += 1
             if carrier is None:
                 raise AssertionError(
                     "no transporter between orbit members of a regular action"
                 )
-            entries.append((child, carrier))
-        return stabilizer, entries, trans_calls
-
-    for d in range(quotient_complex.dim + 1):
-        class_ids = quotient_complex.ids_of_dim(d)
-        if threads > 1 and len(class_ids) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(process_class, class_ids))
-        else:
-            results = [process_class(y) for y in class_ids]
-        for y, (stabilizer, entries, trans_calls) in zip(class_ids, results):
-            stabilizers[y] = stabilizer
-            for child, carrier in entries:
-                transfers[(y, child)] = carrier
-            if stats is not None:
-                stats.trans_calls_per_rep[y] = trans_calls
+            transfers[(y, child)] = carrier
 
     triple = CompressedTriple(action.group, quotient_complex, stabilizers, transfers)
     certificate = CompressionCertificate(orbit_map, lifts)
     return triple, certificate
-
-
-def compress_with_policy(action, lift_policy, threads=1, stats=None):
-    """Alias of compress with an explicit lift policy."""
-    return compress(action, lift_policy=lift_policy, threads=threads, stats=stats)
 
 
 def _equivariant_bfs_lifts(action, orbit_map, fibers):

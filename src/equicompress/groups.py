@@ -3,18 +3,18 @@
 Elements are referred to everywhere by their enumeration index: the identity
 is index 0 and the remaining indices follow breadth-first discovery order
 from the generating set, so the enumeration is deterministic for a fixed
-input.
+input.  The closure records each element times each generator, and the full
+multiplication table is filled from those products along the discovery
+paths (the Cayley-table construction).
 """
 
 from __future__ import annotations
 
 from .errors import FormatError, GroupTooLargeError
 
-DEFAULT_MAX_ORDER = 10**6
-
-# Above this order we stop materializing the full multiplication table and
-# compose permutations on demand instead.
-MULT_TABLE_LIMIT = 4096
+# The full multiplication table costs |G|^2 time and memory; at this order
+# building it takes seconds and up to about 300 MB.
+DEFAULT_MAX_ORDER = 4096
 
 
 def uniqsort(elements):
@@ -25,66 +25,58 @@ def uniqsort(elements):
 class FiniteGroup:
     """An enumerated finite group.
 
-    Holds the multiplication structure plus, when the group was built from
-    permutation generators, one permutation per element (used to construct
-    actions and to compose products lazily for very large groups).
+    Holds the full multiplication table plus one permutation per element
+    (used to construct actions).  ``right[g][i]`` is the index of g times the
+    i-th generator; element h > 0 was first found as ``parents[h]`` times
+    generator ``last_generators[h]``.
     """
 
-    def __init__(self, permutations, generator_indices, element_words):
+    def __init__(self, permutations, generator_indices, right, parents, last_generators):
         self.order = len(permutations)
         self.permutations = permutations
         self.generators = list(generator_indices)
-        self.element_words = element_words
         self.identity = 0
         self.op_counts = None
-        self._index = {perm: i for i, perm in enumerate(permutations)}
-        if len(self._index) != self.order:
-            raise ValueError("duplicate permutations in element list")
-        self._mult = None
-        self._mult_cache = {}
-        if self.order <= MULT_TABLE_LIMIT:
-            self._mult = [
-                [self._compose_index(g, h) for h in range(self.order)]
-                for g in range(self.order)
-            ]
-        self._inverse = [0] * self.order
-        for g in range(self.order):
-            for h in range(self.order):
-                if self._raw_prod(g, h) == 0:
-                    self._inverse[g] = h
-                    break
+        self._parents = parents
+        self._last_generators = last_generators
+        # a*h = a*parent(h)*s, filled in discovery order so a*parent(h) is known
+        self._mult = []
+        for a in range(self.order):
+            row = [a] * self.order
+            for h in range(1, self.order):
+                row[h] = right[row[parents[h]]][last_generators[h]]
+            self._mult.append(row)
+        self._inverse = [row.index(0) for row in self._mult]
 
-    def _compose_index(self, g, h):
-        pg, ph = self.permutations[g], self.permutations[h]
-        return self._index[tuple(pg[v] for v in ph)]
+    @property
+    def element_words(self):
+        """Generator-index word of each element along its discovery path."""
+        words = [()]
+        for h in range(1, self.order):
+            words.append(words[self._parents[h]] + (self._last_generators[h],))
+        return words
 
     def _raw_prod(self, g, h):
-        if self._mult is not None:
-            return self._mult[g][h]
-        key = (g, h)
-        out = self._mult_cache.get(key)
-        if out is None:
-            out = self._compose_index(g, h)
-            self._mult_cache[key] = out
-        return out
+        return self._mult[g][h]
 
     def prod(self, g, h):
         """Index of the product g*h."""
         if self.op_counts is not None:
-            self.op_counts.add("prod")
-        return self._raw_prod(g, h)
+            self.op_counts["prod"] += 1
+        return self._mult[g][h]
 
     def inv(self, g):
         """Index of the inverse of g."""
         if self.op_counts is not None:
-            self.op_counts.add("inv")
+            self.op_counts["inv"] += 1
         return self._inverse[g]
 
     def minrep(self, subgroup, g):
         """Enumeration-minimal element of the left coset g*H."""
         if self.op_counts is not None:
-            self.op_counts.add("minrep")
-        return min(self._raw_prod(g, h) for h in subgroup.elements)
+            self.op_counts["minrep"] += 1
+        row = self._mult[g]
+        return min(row[h] for h in subgroup.elements)
 
     def subgroup(self, members):
         return Subgroup(self, members)
@@ -97,18 +89,12 @@ class FiniteGroup:
 
     def left_multiplication_table(self, g):
         """Row of the multiplication table for g, i.e. the regular action."""
-        return [self._raw_prod(g, h) for h in range(self.order)]
+        return list(self._mult[g])
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        return all(
-            self._raw_prod(g, h) == other._raw_prod(g, h)
-            for g in range(self.order)
-            for h in range(self.order)
-        )
+        return self._mult == other._mult
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, generators={self.generators})"
@@ -150,11 +136,6 @@ class Subgroup:
         return f"Subgroup({self.elements})"
 
 
-def is_member(subgroup, g):
-    """Whether g lies in the subgroup (bitmask lookup)."""
-    return g in subgroup
-
-
 def enumerate_from_generators(generators, domain_size, max_order=DEFAULT_MAX_ORDER):
     """Close a list of permutations under composition, breadth first.
 
@@ -172,28 +153,31 @@ def enumerate_from_generators(generators, domain_size, max_order=DEFAULT_MAX_ORD
 
     identity = tuple(range(domain_size))
     perms = [identity]
-    words = [()]
     seen = {identity: 0}
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for g in frontier:
-            pg = perms[g]
-            for i, ps in enumerate(gens):
-                new = tuple(pg[ps[v]] for v in range(domain_size))
-                if new not in seen:
-                    if len(perms) >= max_order:
-                        raise GroupTooLargeError(
-                            f"generator closure exceeds maximum order {max_order}"
-                        )
-                    seen[new] = len(perms)
-                    perms.append(new)
-                    words.append(words[g] + (i,))
-                    next_frontier.append(seen[new])
-        frontier = next_frontier
+    parents = [0]
+    last_generators = [0]
+    right = []
+    # perms grows while it is walked, so index order is breadth-first order
+    for pg in perms:
+        row = []
+        for i, ps in enumerate(gens):
+            new = tuple([pg[v] for v in ps])
+            h = seen.get(new)
+            if h is None:
+                h = len(perms)
+                if h >= max_order:
+                    raise GroupTooLargeError(
+                        f"generator closure exceeds maximum order {max_order}"
+                    )
+                seen[new] = h
+                perms.append(new)
+                parents.append(len(right))
+                last_generators.append(i)
+            row.append(h)
+        right.append(row)
 
     generator_indices = [seen[p] for p in gens]
-    return FiniteGroup(perms, generator_indices, words)
+    return FiniteGroup(perms, generator_indices, right, parents, last_generators)
 
 
 def group_to_doc(group):
@@ -205,7 +189,6 @@ def group_to_doc(group):
     return {
         "order": group.order,
         "generators": [group.left_multiplication_table(g) for g in group.generators],
-        "element_words": [list(w) for w in group.element_words],
     }
 
 
@@ -214,14 +197,19 @@ def group_from_doc(doc, location="$.group"):
         raise FormatError("group must be an object", location)
     order = doc.get("order")
     gens = doc.get("generators")
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise FormatError("order must be a positive integer", f"{location}.order")
+    if order > DEFAULT_MAX_ORDER:
+        raise FormatError(
+            f"order exceeds the maximum order {DEFAULT_MAX_ORDER}", f"{location}.order"
+        )
     if not isinstance(gens, list):
         raise FormatError("generators must be a list", f"{location}.generators")
     for i, perm in enumerate(gens):
         if (
             not isinstance(perm, list)
             or len(perm) != order
+            or not all(type(v) is int for v in perm)
             or sorted(perm) != list(range(order))
         ):
             raise FormatError(

@@ -9,8 +9,6 @@ inv(g') * g * inv(T(y >= y')) lies in the stabilizer of y'.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .actions import GroupAction
 from .cog import validate_triple
 from .complexes import build_complex
@@ -28,24 +26,27 @@ class ReconstructedComplex:
         return len(self.labels)
 
 
-def reconstruct(triple, threads=1, stats=None):
+def reconstruct(triple):
     """Run the basic construction on a validated triple."""
     report = validate_triple(triple)
     if not report.valid:
         raise TripleValidationError(report)
 
     group, quotient = triple.group, triple.quotient
-    order = group.order
     reps_by_class = {}
     # label -> strictly sorted tuple of vertex ids of the reconstruction
     vertex_sets = {}
-    all_labels = []
 
-    def process_class(y):
+    for y in range(len(quotient)):  # canonical order: faces before cofaces
+        d = quotient.simplex_dim(y)
         stabilizer = triple.stabilizers[y]
-        reps = sorted({group.minrep(stabilizer, g) for g in range(order)})
-        facets = []
+        reps = sorted({group.minrep(stabilizer, g) for g in range(group.order)})
+        reps_by_class[y] = reps
         for g in reps:
+            label = (y, g)
+            if d == 0:
+                vertex_sets[label] = (len(vertex_sets),)
+                continue
             attached = []
             for child in quotient.faces_codim1(y):
                 child_stab = triple.stabilizers[child]
@@ -61,45 +62,25 @@ def reconstruct(triple, threads=1, stats=None):
                         f"over class {child}, expected exactly one"
                     )
                 attached.append((child, hits[0]))
-            facets.append(attached)
-        return reps, facets
-
-    for d in range(quotient.dim + 1):
-        class_ids = quotient.ids_of_dim(d)
-        if threads > 1 and len(class_ids) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(process_class, class_ids))
-        else:
-            results = [process_class(y) for y in class_ids]
-        if stats is not None:
-            stats.minrep_calls_per_dim[d] = order * len(class_ids)
-        for y, (reps, facets) in zip(class_ids, results):
-            reps_by_class[y] = reps
-            for g, attached in zip(reps, facets):
-                label = (y, g)
-                if d == 0:
-                    vertex_sets[label] = (len(vertex_sets),)
-                else:
-                    if len(attached) != d + 1 or len(set(attached)) != d + 1:
-                        raise ReconstructionIntegrityError(
-                            f"simplex {label} attached {len(attached)} facets, "
-                            f"expected {d + 1} distinct ones"
-                        )
-                    union = set()
-                    for facet in attached:
-                        union.update(vertex_sets[facet])
-                    if len(union) != d + 1:
-                        raise ReconstructionIntegrityError(
-                            f"simplex {label} spans {len(union)} vertices, expected {d + 1}"
-                        )
-                    vertex_sets[label] = tuple(sorted(union))
-                all_labels.append(label)
+            if len(attached) != d + 1 or len(set(attached)) != d + 1:
+                raise ReconstructionIntegrityError(
+                    f"simplex {label} attached {len(attached)} facets, "
+                    f"expected {d + 1} distinct ones"
+                )
+            union = set()
+            for facet in attached:
+                union.update(vertex_sets[facet])
+            if len(union) != d + 1:
+                raise ReconstructionIntegrityError(
+                    f"simplex {label} spans {len(union)} vertices, expected {d + 1}"
+                )
+            vertex_sets[label] = tuple(sorted(union))
 
     if len(set(vertex_sets.values())) != len(vertex_sets):
         raise ReconstructionIntegrityError("two labels span the same vertex set")
     n_vertices = sum(1 for vset in vertex_sets.values() if len(vset) == 1)
     complex_ = build_complex(vertex_sets.values(), vertex_count=n_vertices)
-    if len(complex_) != len(all_labels):
+    if len(complex_) != len(vertex_sets):
         raise ReconstructionIntegrityError(
             "downward closure of labeled simplices produced unlabeled faces"
         )

@@ -6,18 +6,24 @@ pass/fail lines on the terminal.
 
 import functools
 import json
+import os
+import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
-from equicompress.actions import check_regularity
+import equicompress
+from equicompress.actions import action_to_doc, check_regularity
 from equicompress.bench import (
     COMPRESS_EXPONENT_BOUND,
     EXPONENT_SLACK,
     RECONSTRUCT_EXPONENT_BOUND,
+    counted,
     growth_exponents,
     run_bench,
 )
-from equicompress.cog import triple_to_doc, validate_triple
+from equicompress.cog import validate_triple
 from equicompress.compress import compress
 from equicompress.families import (
     c3_triangle_action,
@@ -26,7 +32,6 @@ from equicompress.families import (
     subdivide_action,
     twelve_cycle_shift_action,
 )
-from equicompress.instrumentation import CompressStats, ReconstructStats
 from equicompress.reconstruct import reconstruct, recovered_action
 from equicompress.verify import find_equivariant_isomorphism, verify_roundtrip
 
@@ -113,44 +118,65 @@ def test_criterion_5_choice_independence():
         assert vmap is not None, name
 
 
-@criterion(6, "outputs are byte-identical for 1, 2 and 8 workers")
+# subdivide -> compress -> reconstruct -> roundtrip through the CLI, each
+# artifact written to a file in the output directory
+PIPELINE = """
+import sys
+from equicompress.cli import main
+raw, out = sys.argv[1:]
+for argv in (
+    ["subdivide", "--action", raw, "--times", "2", "--out", out + "/regular.json"],
+    ["compress", "--action", out + "/regular.json", "--out", out + "/triple.json"],
+    ["reconstruct", "--triple", out + "/triple.json", "--out", out + "/rebuilt.json"],
+    ["roundtrip", "--action", out + "/regular.json", "--out", out + "/roundtrip.json"],
+):
+    if main(argv) != 0:
+        sys.exit(f"exit code != 0 for {argv}")
+"""
+
+
+@criterion(6, "CLI outputs are byte-identical across processes with different hash seeds")
 def test_criterion_6_determinism():
-    for name, action in FIXTURES.items():
-        compress_docs, reconstruct_docs = [], []
-        for w in (1, 2, 8):
-            triple, certificate = compress(action, threads=w)
-            compress_docs.append(
-                json.dumps(triple_to_doc(triple, certificate), sort_keys=True)
+    src = str(Path(equicompress.__file__).resolve().parents[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = os.path.join(tmp, "raw.json")
+        with open(raw, "w") as fh:
+            json.dump(action_to_doc(klein_four_bowtie_action()), fh)
+        outputs = []
+        for seed in ("0", "1"):
+            out = os.path.join(tmp, f"seed-{seed}")
+            os.mkdir(out)
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-c", PIPELINE, raw, out],
+                env=env,
+                check=True,
+                capture_output=True,
+                timeout=120,
             )
-            rc = reconstruct(triple, threads=w)
-            reconstruct_docs.append(
-                json.dumps(
-                    {
-                        "simplices": [list(s) for s in rc.complex.simplices],
-                        "labels": [list(l) for l in rc.labels],
-                    },
-                    sort_keys=True,
-                )
+            outputs.append(
+                {name: Path(out, name).read_bytes() for name in sorted(os.listdir(out))}
             )
-        assert len(set(compress_docs)) == 1, name
-        assert len(set(reconstruct_docs)) == 1, name
+        assert sorted(outputs[0]) == [
+            "rebuilt.json",
+            "regular.json",
+            "roundtrip.json",
+            "triple.json",
+        ]
+        assert outputs[0] == outputs[1]
 
 
 @criterion(7, "subroutine counts are exact and wall time grows within bounds")
 def test_criterion_7_complexity():
     for name, action in FIXTURES.items():
-        cstats = CompressStats()
-        triple, _ = compress(action, stats=cstats)
-        n = action.complex.dim
-        for calls in cstats.trans_calls_per_rep.values():
-            assert calls <= n + 1, name
-        rstats = ReconstructStats()
-        reconstruct(triple, stats=rstats)
+        # one trans per facet of each lift, one minrep per (element, class)
+        (triple, _), compress_counts = counted(action, lambda: compress(action))
+        dims = [triple.quotient.simplex_dim(y) for y in range(len(triple.quotient))]
+        assert compress_counts["trans"] == sum(d + 1 for d in dims if d >= 1), name
+        _, reconstruct_counts = counted(action, lambda: reconstruct(triple))
         k = action.group.order
-        for d in range(triple.quotient.dim + 1):
-            assert rstats.minrep_calls_per_dim[d] == k * len(
-                triple.quotient.ids_of_dim(d)
-            ), name
+        assert reconstruct_counts["minrep"] == k * len(triple.quotient), name
 
     rows = run_bench("cycle", [2, 3, 4, 6, 8, 12], repeats=5)
     exps = growth_exponents(rows)

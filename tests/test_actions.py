@@ -157,9 +157,7 @@ def test_induced_action_on_subdivision_is_compatible():
     # a subdivision vertex moves the way its source simplex does
     for g in range(action.group.order):
         for v in range(len(action.complex)):
-            assert induced.act_on_vertex(g, v) == action.act_on_simplex(
-                g, sd.vertex_to_simplex[v]
-            )
+            assert induced.act_on_vertex(g, v) == action.act_on_simplex(g, v)
 
 
 def test_action_doc_roundtrip():

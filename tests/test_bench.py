@@ -64,8 +64,8 @@ def test_fit_exponent_on_synthetic_data():
         fit_exponent([2], [1.0])
 
 
-def test_growth_exponents_use_single_worker_rows():
-    rows = run_bench("cycle", [2, 4], workers=(1, 2))
+def test_growth_exponents_cover_both_phases():
+    rows = run_bench("cycle", [2, 4])
     exps = growth_exponents(rows)
     assert set(exps) == {"compress", "reconstruct"}
     assert all(math.isfinite(v) for v in exps.values())

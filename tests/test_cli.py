@@ -4,7 +4,7 @@ import pytest
 
 from equicompress.actions import action_to_doc
 from equicompress.cli import main
-from equicompress.complexes import complex_to_doc
+from equicompress.complexes import build_complex, complex_to_doc
 from equicompress.families import (
     cycle_complex,
     hexagon_antipodal_action,
@@ -116,20 +116,73 @@ def test_corrupted_triple_exits_1(tmp_path, capsys, hexagon_action_file):
     assert out["valid"] is False
 
 
-def test_outputs_are_deterministic_across_threads(tmp_path, capsys, hexagon_action_file):
-    outs = []
-    for w in ("1", "4"):
-        path = str(tmp_path / f"triple-{w}.json")
-        assert main(
-            ["compress", "--action", hexagon_action_file, "--threads", w, "--out", path]
-        ) == 0
-        outs.append(open(path).read())
-    capsys.readouterr()
-    assert outs[0] == outs[1]
+def test_oversized_group_exits_2(tmp_path, capsys, hexagon_action_file):
+    # S_7 (order 5040) permuting the vertices of a 6-simplex
+    simplex = complex_to_doc(build_complex([list(range(7))]))
+    generators = {"swap": [1, 0, 2, 3, 4, 5, 6], "cycle": [1, 2, 3, 4, 5, 6, 0]}
+    doc = {"complex": simplex, "group": {"generators": generators}}
+    assert main(["check-regular", "--action", write(tmp_path, "s7.json", doc)]) == 2
+    assert "$.group.generators:" in capsys.readouterr().err
+
+    triple_path = str(tmp_path / "triple.json")
+    assert main(["compress", "--action", hexagon_action_file, "--out", triple_path]) == 0
+    with open(triple_path) as fh:
+        doc = json.load(fh)
+    doc["group"]["order"] = 5000
+    assert main(["reconstruct", "--triple", write(tmp_path, "big.json", doc)]) == 2
+    assert "$.group.order:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, path, where",
+    [
+        ("triple", ("group", "order"), "$.group.order"),
+        ("triple", ("group", "generators", 0, 0), "$.group.generators[0]"),
+        ("triple", ("quotient", "vertices"), "$.quotient.vertices"),
+        ("triple", ("quotient", "maximal_simplices", 0, 1), "$.quotient.maximal_simplices"),
+        ("triple", ("stabilizers", 0, 0), "$.stabilizers[0]"),
+        ("triple", ("transfers", 0, 2), "$.transfers[0]"),
+        ("triple", ("certificate", "p", 0), "$.certificate.p"),
+        ("triple", ("certificate", "lift", 0), "$.certificate.lift"),
+        ("action", ("complex", "vertices"), "$.complex.vertices"),
+        ("action", ("group", "generators", "g0", 0), "$.group.generators.g0"),
+    ],
+)
+def test_booleans_are_not_integers(tmp_path, capsys, hexagon_action_file, kind, path, where):
+    # JSON true equals 1 to Python; it must not pass where an integer is expected
+    if kind == "triple":
+        source = str(tmp_path / "triple.json")
+        assert main(["compress", "--action", hexagon_action_file, "--out", source]) == 0
+        command = ["validate-triple", "--triple"]
+    else:
+        source = hexagon_action_file
+        command = ["check-regular", "--action"]
+    with open(source) as fh:
+        doc = json.load(fh)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = True
+    assert main(command + [write(tmp_path, "bad.json", doc)]) == 2
+    assert f"error: {where}:" in capsys.readouterr().err
+
+
+def test_negative_times_exits_2(tmp_path, capsys, hexagon_action_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["subdivide", "--action", hexagon_action_file, "--times", "-1"])
+    assert exc.value.code == 2
+    assert "--times" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys, hexagon_action_file):
+    out = str(tmp_path / "missing-dir" / "triple.json")
+    assert main(["compress", "--action", hexagon_action_file, "--out", out]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
 
 
 def test_bench_csv(tmp_path, capsys):
-    assert main(["bench", "--family", "cycle", "--orders", "2,3", "--threads", "1"]) == 0
+    assert main(["bench", "--family", "cycle", "--orders", "2,3"]) == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
     assert lines[0].startswith("fixture,k,n,")

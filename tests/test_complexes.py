@@ -57,8 +57,8 @@ def test_subdivision_of_an_edge():
     edge = build_complex([[0, 1]])
     sd = barycentric_subdivision(edge)
     assert sd.target.counts_by_dim() == [3, 2]
-    # new vertex ids are the source simplex ids
-    assert sd.vertex_to_simplex == [0, 1, 2]
+    # new vertex ids are the source simplex ids: vertex 2 is the edge's barycenter
+    assert sd.target.maximal_simplices() == [(0, 2), (1, 2)]
 
 
 def test_subdivision_counts_of_triangle():

@@ -1,12 +1,10 @@
-import json
-
 import pytest
 
-from equicompress.cog import triple_to_doc, validate_against_action, validate_triple
+from equicompress.bench import counted
+from equicompress.cog import validate_against_action, validate_triple
 from equicompress.compress import LIFT_POLICIES, compress, compression_ratio
 from equicompress.errors import RegularityViolationError
 from equicompress.families import regular_fixtures, twelve_cycle_shift_action
-from equicompress.instrumentation import CompressStats
 
 
 def test_rejects_irregular_action():
@@ -67,28 +65,12 @@ def test_equivariant_bfs_prefers_identity_transfers():
 
 
 def test_trans_call_budget():
-    # at most n+1 transporter searches per orbit representative
+    # one transporter search per facet of each orbit representative, so at
+    # most n+1 per representative; vertices have no facets
     for name, action in regular_fixtures().items():
-        stats = CompressStats()
-        triple, _ = compress(action, stats=stats)
-        n = action.complex.dim
-        assert set(stats.trans_calls_per_rep) == set(range(len(triple.quotient)))
-        for y, calls in stats.trans_calls_per_rep.items():
-            d = triple.quotient.simplex_dim(y)
-            expected = d + 1 if d >= 1 else 0  # vertices have no facets
-            assert calls == expected, name
-            assert calls <= n + 1, name
-
-
-def test_parallel_output_is_byte_identical():
-    for name, action in regular_fixtures().items():
-        docs = []
-        for workers in (1, 2, 8):
-            triple, certificate = compress(action, threads=workers)
-            docs.append(
-                json.dumps(triple_to_doc(triple, certificate), sort_keys=True)
-            )
-        assert docs[0] == docs[1] == docs[2], name
+        (triple, _), counts = counted(action, lambda: compress(action))
+        dims = [triple.quotient.simplex_dim(y) for y in range(len(triple.quotient))]
+        assert counts["trans"] == sum(d + 1 for d in dims if d >= 1), name
 
 
 def test_compression_ratio():

@@ -9,7 +9,6 @@ from equicompress.groups import (
     enumerate_from_generators,
     group_from_doc,
     group_to_doc,
-    is_member,
     uniqsort,
 )
 
@@ -51,16 +50,31 @@ def test_trivial_group():
     assert g.inv(0) == 0
 
 
+def shift(n, k):
+    return [(v + k) % n for v in range(n)]
+
+
 def test_product_and_inverse():
-    g = dihedral_6()
-    assert g.order == 12
-    for a in range(g.order):
-        assert g.prod(a, g.inv(a)) == 0
-        assert g.prod(g.inv(a), a) == 0
-        for b in range(g.order):
-            # prod composes the permutations: (a*b)(v) = a(b(v))
-            pa, pb = g.permutations[a], g.permutations[b]
-            assert g.permutations[g.prod(a, b)] == tuple(pa[pb[v]] for v in range(6))
+    # D_2 as the half-turn and reflection of a cone over a 26-gon (apex 26)
+    half_turn = shift(26, 13) + [26]
+    reflection = [(-v) % 26 for v in range(26)] + [26]
+    cases = [
+        (dihedral_6(), 12),
+        (enumerate_from_generators([shift(256, 4)], 256), 64),
+        (enumerate_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]], 4), 24),
+        (enumerate_from_generators([half_turn, reflection], 27), 4),
+        (enumerate_from_generators([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]], 6), 720),
+    ]
+    for g, order in cases:
+        assert g.order == order
+        perms = g.permutations
+        for a in range(g.order):
+            assert g.prod(a, g.inv(a)) == 0
+            assert g.prod(g.inv(a), a) == 0
+            pa = perms[a]
+            for b in range(g.order):
+                # prod composes the permutations: (a*b)(v) = a(b(v))
+                assert perms[g.prod(a, b)] == tuple([pa[v] for v in perms[b]])
 
 
 def test_minrep_worked_example():
@@ -80,7 +94,7 @@ def test_subgroup_validation():
         Subgroup(g, [0, 1, 2])  # not closed: sigma*tau missing
     h = Subgroup(g, [0, 1, 2, 3])
     assert len(h) == 4
-    assert is_member(h, 3)
+    assert 3 in h
 
 
 def test_max_order_guard():

@@ -1,8 +1,7 @@
-import json
-
 import pytest
 
 from equicompress.actions import check_regularity
+from equicompress.bench import counted
 from equicompress.cog import CompressedTriple
 from equicompress.complexes import build_complex, complexes_equal
 from equicompress.compress import compress
@@ -12,7 +11,6 @@ from equicompress.errors import (
 )
 from equicompress.families import cycle_rotation_action, regular_fixtures
 from equicompress.groups import enumerate_from_generators
-from equicompress.instrumentation import ReconstructStats
 from equicompress.reconstruct import (
     check_partial_order,
     reconstruct,
@@ -76,14 +74,11 @@ def test_labels_cover_cosets():
 
 
 def test_minrep_call_count_is_exact():
+    # one minrep per group element and quotient simplex: |G| * |Y|
     for name, action in regular_fixtures().items():
         triple, _ = compress(action)
-        stats = ReconstructStats()
-        reconstruct(triple, stats=stats)
-        k = action.group.order
-        for d in range(triple.quotient.dim + 1):
-            expected = k * len(triple.quotient.ids_of_dim(d))
-            assert stats.minrep_calls_per_dim[d] == expected, name
+        _, counts = counted(action, lambda: reconstruct(triple))
+        assert counts["minrep"] == action.group.order * len(triple.quotient), name
 
 
 def test_rejects_invalid_triple():
@@ -110,24 +105,6 @@ def test_corrupt_stabilizer_fails_integrity():
     triple.stabilizers[y] = group.trivial_subgroup()
     with pytest.raises((ReconstructionIntegrityError, TripleValidationError)):
         reconstruct(triple)
-
-
-def test_parallel_output_is_byte_identical():
-    for name, action in regular_fixtures().items():
-        triple, _ = compress(action)
-        docs = []
-        for workers in (1, 2, 8):
-            rc = reconstruct(triple, threads=workers)
-            docs.append(
-                json.dumps(
-                    {
-                        "simplices": [list(s) for s in rc.complex.simplices],
-                        "labels": [list(l) for l in rc.labels],
-                    },
-                    sort_keys=True,
-                )
-            )
-        assert docs[0] == docs[1] == docs[2], name
 
 
 def test_recovered_action_is_well_formed_and_regular():
