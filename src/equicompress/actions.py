@@ -7,13 +7,16 @@ orbit, and (3) the vertices of each simplex occupy pairwise distinct vertex
 orbits.  Conditions (1) and (2) are the classical ones; (3) is the extra
 requirement that makes the quotient a simplicial complex (without it a free
 rotation of a polygon boundary would collapse an edge onto a single vertex).
+
+An action keeps one simplex-image row per group element: the generators' rows
+come from their vertex permutations, the rest from ``FiniteGroup.compose_rows``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import build_complex
+from .complexes import build_complex, complex_to_doc
 from .errors import (
     FormatError,
     GroupTooLargeError,
@@ -43,16 +46,22 @@ class RegularityReport:
 
 
 class GroupAction:
-    """A finite group acting on a complex by simplicial automorphisms."""
+    """A finite group acting on a complex, given one vertex permutation per generator.
 
-    def __init__(self, group, complex_, vertex_images):
-        if len(vertex_images) != group.order:
-            raise NotAnAutomorphismError("one vertex table required per group element")
+    Vertex v is simplex v, so the simplex-image rows hold the vertex images too.
+    """
+
+    def __init__(self, group, complex_, generator_images):
+        if len(generator_images) != len(group.generators):
+            raise NotAnAutomorphismError("one vertex permutation required per generator")
         self.group = group
         self.complex = complex_
-        self.vertex_images = [tuple(row) for row in vertex_images]
+        self.generator_images = [tuple(row) for row in generator_images]
         self.op_counts = None
-        self._simplex_images = self._validate_and_tabulate()
+        self._simplex_images = group.compose_rows(
+            [self._simplex_row(g, row) for g, row in zip(group.generators, self.generator_images)],
+            len(complex_),
+        )
         self._orbit_cache = {}
         self._stab_cache = {}
 
@@ -60,42 +69,25 @@ class GroupAction:
     def from_generator_perms(cls, generator_perms, complex_):
         """Close vertex permutations into a group acting on ``complex_``."""
         group = enumerate_from_generators(generator_perms, complex_.vertex_count)
-        return cls(group, complex_, group.permutations)
+        return cls(group, complex_, generator_perms)
 
-    def _validate_and_tabulate(self):
-        group, complex_ = self.group, self.complex
-        identity = tuple(range(complex_.vertex_count))
-        if self.vertex_images[0] != identity:
-            raise NotAnAutomorphismError("element 0 must act as the identity")
-        tables = []
-        for g, row in enumerate(self.vertex_images):
-            if sorted(row) != list(range(complex_.vertex_count)):
-                raise NotAnAutomorphismError(f"element {g} does not permute the vertices")
-            table = []
-            for simplex in complex_.simplices:
-                image = tuple(sorted(row[v] for v in simplex))
-                sid = complex_.index.get(image)
-                if sid is None:
-                    raise NotAnAutomorphismError(
-                        f"element {g} maps simplex {simplex} outside the complex"
-                    )
-                table.append(sid)
-            tables.append(table)
-        for g in range(group.order):
-            for s in group.generators:
-                gs = group._raw_prod(g, s)
-                composed = tuple(
-                    self.vertex_images[g][self.vertex_images[s][v]]
-                    for v in range(complex_.vertex_count)
+    def _simplex_row(self, g, row):
+        """Simplex images of element g, given its vertex images."""
+        complex_ = self.complex
+        if sorted(row) != list(range(complex_.vertex_count)):
+            raise NotAnAutomorphismError(f"element {g} does not permute the vertices")
+        table = []
+        for simplex in complex_.simplices:
+            sid = complex_.index.get(tuple(sorted(row[v] for v in simplex)))
+            if sid is None:
+                raise NotAnAutomorphismError(
+                    f"element {g} maps simplex {simplex} outside the complex"
                 )
-                if self.vertex_images[gs] != composed:
-                    raise NotAnAutomorphismError(
-                        "vertex tables are not compatible with the group multiplication"
-                    )
-        return tables
+            table.append(sid)
+        return table
 
     def act_on_vertex(self, g, v):
-        return self.vertex_images[g][v]
+        return self._simplex_images[g][v]
 
     def act_on_simplex(self, g, sid):
         return self._simplex_images[g][sid]
@@ -139,7 +131,7 @@ class GroupAction:
         next_class = 0
         for v in range(self.complex.vertex_count):
             if classes[v] < 0:
-                for row in self.vertex_images:
+                for row in self._simplex_images:
                     classes[row[v]] = next_class
                 next_class += 1
         return classes
@@ -227,27 +219,17 @@ def induced_action_on_subdivision(action, subdivision):
     if subdivision.source is not action.complex:
         raise InputMismatchError("subdivision does not source the action's complex")
     # subdivision vertex ids are source simplex ids
-    images = [
-        [action.act_on_simplex(g, sid) for sid in range(len(subdivision.source))]
-        for g in range(action.group.order)
-    ]
+    images = [action._simplex_images[g] for g in action.group.generators]
     return GroupAction(action.group, subdivision.target, images)
 
 
-def action_to_doc(action, inline_complex=True):
-    from .complexes import complex_to_doc
-
-    doc = {
+def action_to_doc(action):
+    return {
         "group": {
-            "generators": {
-                f"g{i}": list(action.vertex_images[g])
-                for i, g in enumerate(action.group.generators)
-            }
-        }
+            "generators": {f"g{i}": list(row) for i, row in enumerate(action.generator_images)}
+        },
+        "complex": complex_to_doc(action.complex),
     }
-    if inline_complex:
-        doc["complex"] = complex_to_doc(action.complex)
-    return doc
 
 
 def action_from_doc(doc, complex_, location="$"):

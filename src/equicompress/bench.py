@@ -58,13 +58,13 @@ def bench_one(family, order, repeats=1):
     complex_ = action.complex
 
     best_compress = math.inf
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         (triple, certificate), compress_counts = counted(action, lambda: compress(action))
         best_compress = min(best_compress, time.perf_counter() - t0)
 
     best_reconstruct = math.inf
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         rc, reconstruct_counts = counted(action, lambda: reconstruct(triple))
         best_reconstruct = min(best_reconstruct, time.perf_counter() - t0)

@@ -171,20 +171,35 @@ def cmd_validate_triple(args):
 
 
 def cmd_bench(args):
-    rows = run_bench(args.family, args.orders, repeats=args.repeats)
+    try:
+        rows = run_bench(args.family, args.orders, repeats=args.repeats)
+    except ValueError as exc:  # a family member undefined at some order
+        raise FormatError(str(exc), "--orders") from exc
     exponents = growth_exponents(rows) if len(args.orders) > 1 else None
     _write(rows_to_csv(rows, exponents), args.out)
     return EXIT_OK
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v]
+def _order_list(text):
+    orders = [_positive_int(v) for v in text.split(",") if v]
+    if not orders:
+        raise argparse.ArgumentTypeError("needs at least one order")
+    if len(set(orders)) != len(orders):
+        raise argparse.ArgumentTypeError(f"orders must be distinct, got {text}")
+    return orders
 
 
 def _non_negative_int(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -225,8 +240,8 @@ def build_parser():
 
     bench = sub.add_parser("bench")
     bench.add_argument("--family", choices=sorted(FAMILIES), default="cycle")
-    bench.add_argument("--orders", type=_int_list, default=[2, 3, 4, 6, 8, 12])
-    bench.add_argument("--repeats", type=int, default=1)
+    bench.add_argument("--orders", type=_order_list, default=[2, 3, 4, 6, 8, 12])
+    bench.add_argument("--repeats", type=_positive_int, default=1)
     bench.add_argument("--out")
     bench.set_defaults(fn=cmd_bench)
 

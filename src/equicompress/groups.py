@@ -3,14 +3,17 @@
 Elements are referred to everywhere by their enumeration index: the identity
 is index 0 and the remaining indices follow breadth-first discovery order
 from the generating set, so the enumeration is deterministic for a fixed
-input.  The closure records each element times each generator, and the full
-multiplication table is filled from those products along the discovery
-paths (the Cayley-table construction).
+input.  The closure records each element times each generator; every
+per-element table (the multiplication table, an action's rows) is composed
+from that record along the discovery paths, and each subgroup reads its
+left-coset representatives from one table.
 """
 
 from __future__ import annotations
 
-from .errors import FormatError, GroupTooLargeError
+from functools import cached_property
+
+from .errors import FormatError, GroupTooLargeError, NotAnAutomorphismError
 
 # The full multiplication table costs |G|^2 time and memory; at this order
 # building it takes seconds and up to about 300 MB.
@@ -25,18 +28,16 @@ def uniqsort(elements):
 class FiniteGroup:
     """An enumerated finite group.
 
-    Holds the full multiplication table plus one permutation per element
-    (used to construct actions).  ``right[g][i]`` is the index of g times the
-    i-th generator; element h > 0 was first found as ``parents[h]`` times
-    generator ``last_generators[h]``.
+    Holds the full multiplication table.  ``right[g][i]`` is the index of g
+    times the i-th generator; element h > 0 was first found as ``parents[h]``
+    times generator ``last_generators[h]``.
     """
 
-    def __init__(self, permutations, generator_indices, right, parents, last_generators):
-        self.order = len(permutations)
-        self.permutations = permutations
+    def __init__(self, generator_indices, right, parents, last_generators):
+        self.order = len(right)
         self.generators = list(generator_indices)
-        self.identity = 0
         self.op_counts = None
+        self._right = right
         self._parents = parents
         self._last_generators = last_generators
         # a*h = a*parent(h)*s, filled in discovery order so a*parent(h) is known
@@ -48,16 +49,23 @@ class FiniteGroup:
             self._mult.append(row)
         self._inverse = [row.index(0) for row in self._mult]
 
-    @property
-    def element_words(self):
-        """Generator-index word of each element along its discovery path."""
-        words = [()]
-        for h in range(1, self.order):
-            words.append(words[self._parents[h]] + (self._last_generators[h],))
-        return words
+    def compose_rows(self, generator_rows, degree):
+        """Extend one permutation of 0..degree-1 per generator to all elements.
 
-    def _raw_prod(self, g, h):
-        return self._mult[g][h]
+        Row h = parent(h)*s maps x to row[parent(h)][row[s][x]]; checking
+        every Cayley-graph edge g -> g*s makes the rows a homomorphism.
+        """
+        rows = [list(range(degree))]
+        for h in range(1, self.order):
+            parent_row = rows[self._parents[h]]
+            rows.append([parent_row[x] for x in generator_rows[self._last_generators[h]]])
+        for g, row in enumerate(rows):
+            for i, gen_row in enumerate(generator_rows):
+                if rows[self._right[g][i]] != [row[x] for x in gen_row]:
+                    raise NotAnAutomorphismError(
+                        "vertex tables are not compatible with the group multiplication"
+                    )
+        return rows
 
     def prod(self, g, h):
         """Index of the product g*h."""
@@ -75,21 +83,13 @@ class FiniteGroup:
         """Enumeration-minimal element of the left coset g*H."""
         if self.op_counts is not None:
             self.op_counts["minrep"] += 1
-        row = self._mult[g]
-        return min(row[h] for h in subgroup.elements)
-
-    def subgroup(self, members):
-        return Subgroup(self, members)
+        return subgroup.coset_reps[g]
 
     def trivial_subgroup(self):
         return Subgroup(self, [0])
 
     def full_subgroup(self):
         return Subgroup(self, range(self.order))
-
-    def left_multiplication_table(self, g):
-        """Row of the multiplication table for g, i.e. the regular action."""
-        return list(self._mult[g])
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
@@ -101,7 +101,10 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A subgroup stored as a sorted member list plus a membership bitmask."""
+    """A subgroup stored as a sorted member list plus a membership bitmask.
+
+    ``coset_reps[g]``, built on first use, is the minimal element of g*H.
+    """
 
     def __init__(self, group, members):
         self.group = group
@@ -118,8 +121,18 @@ class Subgroup:
             if not (mask >> group._inverse[a]) & 1:
                 raise ValueError("subgroup not closed under inversion")
             for b in self.elements:
-                if not (mask >> group._raw_prod(a, b)) & 1:
+                if not (mask >> group._mult[a][b]) & 1:
                     raise ValueError("subgroup not closed under multiplication")
+
+    @cached_property
+    def coset_reps(self):
+        # walking G upwards, the first element met in each coset is its minimum
+        reps = [None] * self.group.order
+        for g, row in enumerate(self.group._mult):
+            if reps[g] is None:
+                for h in self.elements:
+                    reps[row[h]] = g
+        return reps
 
     def __len__(self):
         return len(self.elements)
@@ -177,7 +190,8 @@ def enumerate_from_generators(generators, domain_size, max_order=DEFAULT_MAX_ORD
         right.append(row)
 
     generator_indices = [seen[p] for p in gens]
-    return FiniteGroup(perms, generator_indices, right, parents, last_generators)
+    del perms, seen  # the group keeps only the Cayley graph, not the permutations
+    return FiniteGroup(generator_indices, right, parents, last_generators)
 
 
 def group_to_doc(group):
@@ -188,7 +202,7 @@ def group_to_doc(group):
     """
     return {
         "order": group.order,
-        "generators": [group.left_multiplication_table(g) for g in group.generators],
+        "generators": [list(group._mult[g]) for g in group.generators],
     }
 
 

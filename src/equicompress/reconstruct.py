@@ -4,7 +4,9 @@ Simplices of the output are labeled (y, g) where y is a quotient simplex and
 g is the enumeration-minimal representative of a left coset of the stabilizer
 of y.  The pair (y', g') is a face of (y, g) exactly when y' is a face of y
 and the cosets agree after pulling g back through the transfer, i.e. when
-inv(g') * g * inv(T(y >= y')) lies in the stabilizer of y'.
+inv(g') * g * inv(T(y >= y')) lies in the stabilizer of y'.  The labels over
+y are the distinct entries of the coset table of S(y) (``Subgroup.coset_reps``),
+and g' is the entry of g * inv(T(y >= y')) in the table of S(y').
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ class ReconstructedComplex:
     def __init__(self, complex_, labels, triple):
         self.complex = complex_
         self.labels = labels  # Z simplex id -> (quotient id, coset representative)
-        self.label_index = {label: sid for sid, label in enumerate(labels)}
         self.triple = triple
 
     def __len__(self):
@@ -33,15 +34,13 @@ def reconstruct(triple):
         raise TripleValidationError(report)
 
     group, quotient = triple.group, triple.quotient
-    reps_by_class = {}
     # label -> strictly sorted tuple of vertex ids of the reconstruction
     vertex_sets = {}
 
     for y in range(len(quotient)):  # canonical order: faces before cofaces
         d = quotient.simplex_dim(y)
         stabilizer = triple.stabilizers[y]
-        reps = sorted({group.minrep(stabilizer, g) for g in range(group.order)})
-        reps_by_class[y] = reps
+        reps = sorted(set(stabilizer.coset_reps))
         for g in reps:
             label = (y, g)
             if d == 0:
@@ -49,19 +48,8 @@ def reconstruct(triple):
                 continue
             attached = []
             for child in quotient.faces_codim1(y):
-                child_stab = triple.stabilizers[child]
                 pulled = group.prod(g, group.inv(triple.transfer(y, child)))
-                hits = [
-                    g2
-                    for g2 in reps_by_class[child]
-                    if group.prod(group.inv(g2), pulled) in child_stab
-                ]
-                if len(hits) != 1:
-                    raise ReconstructionIntegrityError(
-                        f"label ({y}, {g}) matches {len(hits)} representatives "
-                        f"over class {child}, expected exactly one"
-                    )
-                attached.append((child, hits[0]))
+                attached.append((child, group.minrep(triple.stabilizers[child], pulled)))
             if len(attached) != d + 1 or len(set(attached)) != d + 1:
                 raise ReconstructionIntegrityError(
                     f"simplex {label} attached {len(attached)} facets, "
@@ -98,7 +86,7 @@ def recovered_action(rc):
         if len(rc.complex.simplices[sid]) == 1:
             vertex_ids[label] = rc.complex.simplices[sid][0]
     images = []
-    for h in range(group.order):
+    for h in group.generators:
         row = [0] * rc.complex.vertex_count
         for (y, g), v in vertex_ids.items():
             moved = group.minrep(triple.stabilizers[y], group.prod(h, g))

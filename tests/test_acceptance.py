@@ -170,13 +170,17 @@ def test_criterion_6_determinism():
 @criterion(7, "subroutine counts are exact and wall time grows within bounds")
 def test_criterion_7_complexity():
     for name, action in FIXTURES.items():
-        # one trans per facet of each lift, one minrep per (element, class)
+        # one trans per facet of each lift; one minrep per facet of each
+        # reconstructed simplex
         (triple, _), compress_counts = counted(action, lambda: compress(action))
         dims = [triple.quotient.simplex_dim(y) for y in range(len(triple.quotient))]
         assert compress_counts["trans"] == sum(d + 1 for d in dims if d >= 1), name
         _, reconstruct_counts = counted(action, lambda: reconstruct(triple))
         k = action.group.order
-        assert reconstruct_counts["minrep"] == k * len(triple.quotient), name
+        facets = sum(
+            k // len(triple.stabilizers[y]) * (d + 1) for y, d in enumerate(dims) if d >= 1
+        )
+        assert reconstruct_counts["minrep"] == facets, name
 
     rows = run_bench("cycle", [2, 3, 4, 6, 8, 12], repeats=5)
     exps = growth_exponents(rows)

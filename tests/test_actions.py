@@ -28,6 +28,7 @@ from equicompress.families import (
     triangle_complex,
     twelve_cycle_shift_action,
 )
+from equicompress.groups import enumerate_from_generators
 
 
 def test_rejects_non_automorphism():
@@ -40,6 +41,21 @@ def test_rejects_non_automorphism():
 def test_rejects_non_permutation():
     with pytest.raises(ValueError):
         GroupAction.from_generator_perms([[0, 0, 1]], triangle_complex())
+
+
+def test_rejects_generator_images_breaking_a_relation():
+    # C_2, closed from a transposition, cannot act by a 3-cycle: s*s = e fails
+    c2 = enumerate_from_generators([[1, 0]], 2)
+    with pytest.raises(NotAnAutomorphismError, match="not compatible"):
+        GroupAction(c2, triangle_complex(), [[1, 2, 0]])
+
+
+def test_rejects_wrong_number_of_generator_images():
+    c2 = enumerate_from_generators([[1, 0]], 2)
+    with pytest.raises(NotAnAutomorphismError):
+        GroupAction(c2, triangle_complex(), [])
+    with pytest.raises(NotAnAutomorphismError):
+        GroupAction(c2, triangle_complex(), [[0, 1, 2], [0, 1, 2]])
 
 
 def test_orbit_stabilizer_transporter():
@@ -164,7 +180,10 @@ def test_action_doc_roundtrip():
     action = hexagon_antipodal_action()
     doc = action_to_doc(action)
     restored = action_from_doc(doc, action.complex)
-    assert restored.vertex_images == action.vertex_images
+    assert restored.generator_images == action.generator_images
+    for g in range(action.group.order):
+        for sid in range(len(action.complex)):
+            assert restored.act_on_simplex(g, sid) == action.act_on_simplex(g, sid)
     assert restored.group == action.group
 
 

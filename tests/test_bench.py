@@ -29,7 +29,9 @@ def test_row_shape_and_parameter_bounds():
     assert len(rc.complex.simplices) == 32
     # every phase made at least one counted call
     assert row["compress_trans"] > 0
-    assert row["reconstruct_minrep"] == k * len(triple.quotient)
+    # sum_{dim y >= 1} [G:S(y)]*(dim y + 1); the cycle's edges are free
+    edges = len(triple.quotient.ids_of_dim(1))
+    assert row["reconstruct_minrep"] == k * edges * 2
 
 
 def test_dihedral_and_rotation_families_run():

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import equicompress
 from equicompress.actions import action_to_doc
 from equicompress.cli import main
 from equicompress.complexes import build_complex, complex_to_doc
@@ -97,6 +103,20 @@ def test_compress_reconstruct_roundtrip(tmp_path, capsys, hexagon_action_file):
     assert report["passed"] is True
 
 
+def test_closed_complexes_are_not_capped_as_documents(tmp_path, capsys):
+    # the quotient and the reconstruction of the trivial action on an
+    # 11-simplex are built from all 4,095 faces, not from one maximal simplex
+    action = trivial_action(build_complex([list(range(12))]))
+    action_path = write(tmp_path, "simplex.json", action_to_doc(action))
+    triple_path = str(tmp_path / "triple.json")
+    assert main(["compress", "--action", action_path, "--out", triple_path]) == 0
+    rec_path = str(tmp_path / "rec.json")
+    assert main(["reconstruct", "--triple", triple_path, "--out", rec_path]) == 0
+    assert len(json.loads(open(rec_path).read())["labels"]) == 4095
+    assert main(["roundtrip", "--action", action_path]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 def test_compress_irregular_exits_1(tmp_path, capsys):
     bowtie = write(tmp_path, "bowtie.json", action_to_doc(klein_four_bowtie_action()))
     assert main(["compress", "--action", bowtie]) == 1
@@ -188,3 +208,52 @@ def test_bench_csv(tmp_path, capsys):
     assert lines[0].startswith("fixture,k,n,")
     assert len([l for l in lines if not l.startswith("#")]) == 3
     assert any(l.startswith("# exponent,reconstruct") for l in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--orders", "0"],
+        ["--orders=-3"],
+        ["--orders", ""],
+        ["--orders", "2,2"],
+        ["--family", "simplex-rotation", "--orders", "2"],
+        ["--repeats", "0"],
+        ["--repeats=-5"],
+    ],
+)
+def test_bench_rejects_bad_sizes(argv, capsys):
+    try:
+        code = main(["bench", *argv])
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--orders" in err or "--repeats" in err
+
+
+def test_oversized_complex_exits_2_before_allocating(tmp_path):
+    # a 26-vertex simplex has 2^26 - 1 faces; the run gets 1 GiB of address
+    # space, so building the closure would end in a MemoryError instead
+    doc = {
+        "complex": {"vertices": 26, "maximal_simplices": [list(range(26))]},
+        "group": {"generators": {}},
+    }
+    path = write(tmp_path, "big.json", doc)
+    src = str(Path(equicompress.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "equicompress.cli", "check-regular", "--action", path],
+        env=env,
+        preexec_fn=limit_memory,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "$.complex.maximal_simplices:" in result.stderr

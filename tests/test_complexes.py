@@ -1,6 +1,7 @@
 import pytest
 
 from equicompress.complexes import (
+    MAX_SIMPLICES,
     barycentric_subdivision,
     build_complex,
     complex_from_doc,
@@ -99,3 +100,22 @@ def test_doc_errors_carry_location():
         complex_from_doc({"vertices": 3, "maximal_simplices": [[0, 0]]})
     with pytest.raises(FormatError):
         complex_from_doc([1, 2, 3])
+
+
+def test_closure_cap_is_checked_before_building():
+    def too_large(vertices, maximal):
+        with pytest.raises(FormatError) as exc:
+            complex_from_doc({"vertices": vertices, "maximal_simplices": maximal})
+        assert "$.maximal_simplices" in str(exc.value)
+        assert "exceeds the maximum" in str(exc.value)
+
+    # a full 18-simplex has 2^19 - 1 simplices, over the cap
+    too_large(19, [list(range(19))])
+    too_large(MAX_SIMPLICES + 1, [])
+    # isolated vertices and the higher faces of the listed simplices share the bound
+    higher_faces = 2**17 - 1 - 17
+    too_large(MAX_SIMPLICES - higher_faces + 1, [list(range(17))])
+    at_cap = complex_from_doc(
+        {"vertices": MAX_SIMPLICES - higher_faces, "maximal_simplices": [list(range(17))]}
+    )
+    assert len(at_cap) == MAX_SIMPLICES

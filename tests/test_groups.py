@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equicompress.actions import GroupAction
+from equicompress.complexes import build_complex
 from equicompress.errors import FormatError, GroupTooLargeError
 from equicompress.groups import (
     FiniteGroup,
@@ -32,15 +34,23 @@ def test_uniqsort():
     assert uniqsort([]) == []
 
 
+def closed_with_permutations(generators, n):
+    """The group the generators close to, and each element's permutation of 0..n-1."""
+    action = GroupAction.from_generator_perms(generators, build_complex([], vertex_count=n))
+    perms = [
+        tuple(action.act_on_vertex(g, v) for v in range(n)) for g in range(action.group.order)
+    ]
+    return action.group, perms
+
+
 def test_bfs_enumeration_order():
-    g = klein_four()
+    g, perms = closed_with_permutations([SIGMA, TAU], 5)
     assert g.order == 4
     # identity first, then generators in input order, then products
-    assert g.permutations[0] == (0, 1, 2, 3, 4)
-    assert g.permutations[1] == tuple(SIGMA)
-    assert g.permutations[2] == tuple(TAU)
+    assert perms[0] == (0, 1, 2, 3, 4)
+    assert perms[1] == tuple(SIGMA)
+    assert perms[2] == tuple(TAU)
     assert g.generators == [1, 2]
-    assert g.element_words == [(), (0,), (1,), (0, 1)]
 
 
 def test_trivial_group():
@@ -59,15 +69,15 @@ def test_product_and_inverse():
     half_turn = shift(26, 13) + [26]
     reflection = [(-v) % 26 for v in range(26)] + [26]
     cases = [
-        (dihedral_6(), 12),
-        (enumerate_from_generators([shift(256, 4)], 256), 64),
-        (enumerate_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]], 4), 24),
-        (enumerate_from_generators([half_turn, reflection], 27), 4),
-        (enumerate_from_generators([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]], 6), 720),
+        ([[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]], 6, 12),
+        ([shift(256, 4)], 256, 64),
+        ([[1, 0, 2, 3], [1, 2, 3, 0]], 4, 24),
+        ([half_turn, reflection], 27, 4),
+        ([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]], 6, 720),
     ]
-    for g, order in cases:
+    for generators, n, order in cases:
+        g, perms = closed_with_permutations(generators, n)
         assert g.order == order
-        perms = g.permutations
         for a in range(g.order):
             assert g.prod(a, g.inv(a)) == 0
             assert g.prod(g.inv(a), a) == 0
@@ -107,7 +117,6 @@ def test_doc_roundtrip_preserves_enumeration():
     g2 = group_from_doc(group_to_doc(g))
     assert g2.order == g.order
     assert g == g2
-    assert g2.element_words == g.element_words
 
 
 def test_group_from_doc_rejects_bad_order():
@@ -150,6 +159,7 @@ def test_minrep_is_coset_invariant(gx):
         cur = g.prod(cur, x)
     h = Subgroup(g, members)
     rep = g.minrep(h, x)
+    assert rep == min(g.prod(x, s) for s in h.elements)
     # the representative lies in the coset and is idempotent under minrep
     assert any(g.prod(x, s) == rep for s in h.elements)
     assert g.minrep(h, rep) == rep

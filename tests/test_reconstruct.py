@@ -74,11 +74,18 @@ def test_labels_cover_cosets():
 
 
 def test_minrep_call_count_is_exact():
-    # one minrep per group element and quotient simplex: |G| * |Y|
+    # one minrep per facet of each reconstructed simplex:
+    # sum_{dim y >= 1} [G:S(y)]*(dim y + 1)
     for name, action in regular_fixtures().items():
         triple, _ = compress(action)
         _, counts = counted(action, lambda: reconstruct(triple))
-        assert counts["minrep"] == action.group.order * len(triple.quotient), name
+        k, quotient = action.group.order, triple.quotient
+        facets = sum(
+            k // len(triple.stabilizers[y]) * (quotient.simplex_dim(y) + 1)
+            for y in range(len(quotient))
+            if quotient.simplex_dim(y) >= 1
+        )
+        assert counts["minrep"] == facets, name
 
 
 def test_rejects_invalid_triple():
