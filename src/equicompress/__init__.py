@@ -36,6 +36,7 @@ from .complexes import (
 from .compress import LIFT_POLICIES, compress, compression_ratio
 from .errors import (
     BruteForceBoundError,
+    ComplexTooLargeError,
     EquicompressError,
     FormatError,
     GroupTooLargeError,
@@ -52,6 +53,7 @@ from .verify import EquivarianceReport, find_equivariant_isomorphism, verify_rou
 
 __all__ = [
     "BruteForceBoundError",
+    "ComplexTooLargeError",
     "CompressedTriple",
     "CompressionCertificate",
     "EquicompressError",

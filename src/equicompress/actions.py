@@ -10,11 +10,18 @@ rotation of a polygon boundary would collapse an edge onto a single vertex).
 
 An action keeps one simplex-image row per group element: the generators' rows
 come from their vertex permutations, the rest from ``FiniteGroup.compose_rows``.
+From the rows it derives one orbit partition, ``GroupAction.orbit_ids``, and
+both the regularity check and the quotient read it.  Condition (2) compares
+orbit ids within each group of simplices with equal vertex-orbit multisets.
+Condition (3) implies (1): a setwise stabilizer maps each vertex into its own
+orbit, which under (3) meets the simplex in that vertex alone, so the vertex is
+fixed; stabilizers are only built when some simplex repeats a vertex orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import build_complex, complex_to_doc
 from .errors import (
@@ -62,8 +69,6 @@ class GroupAction:
             [self._simplex_row(g, row) for g, row in zip(group.generators, self.generator_images)],
             len(complex_),
         )
-        self._orbit_cache = {}
-        self._stab_cache = {}
 
     @classmethod
     def from_generator_perms(cls, generator_perms, complex_):
@@ -86,33 +91,38 @@ class GroupAction:
             table.append(sid)
         return table
 
-    def act_on_vertex(self, g, v):
-        return self._simplex_images[g][v]
-
     def act_on_simplex(self, g, sid):
         return self._simplex_images[g][sid]
+
+    @cached_property
+    def orbit_ids(self):
+        """Orbit id per simplex; orbits are numbered by their minimal member.
+
+        Vertices come first in canonical order, so the vertex orbits are
+        0..k-1 and ``orbit_ids[v]`` is the class of vertex v in the quotient.
+        """
+        ids = [-1] * len(self.complex)
+        next_id = 0
+        for sid in range(len(ids)):
+            if ids[sid] < 0:
+                for row in self._simplex_images:
+                    ids[row[sid]] = next_id
+                next_id += 1
+        return ids
 
     def orb(self, sid):
         """Sorted duplicate-free orbit of a simplex."""
         if self.op_counts is not None:
             self.op_counts["orb"] += 1
-        cached = self._orbit_cache.get(sid)
-        if cached is None:
-            cached = sorted({table[sid] for table in self._simplex_images})
-            for member in cached:
-                self._orbit_cache[member] = cached
-        return cached
+        return sorted({table[sid] for table in self._simplex_images})
 
     def stab(self, sid):
         """Setwise stabilizer subgroup of a simplex."""
         if self.op_counts is not None:
             self.op_counts["stab"] += 1
-        cached = self._stab_cache.get(sid)
-        if cached is None:
-            members = [g for g in range(self.group.order) if self._simplex_images[g][sid] == sid]
-            cached = Subgroup(self.group, members)
-            self._stab_cache[sid] = cached
-        return cached
+        return Subgroup(
+            self.group, [g for g, table in enumerate(self._simplex_images) if table[sid] == sid]
+        )
 
     def trans(self, sid, target):
         """Enumeration-minimal g with g*sid = target, or None."""
@@ -125,16 +135,11 @@ class GroupAction:
                 return g
         return None
 
-    def vertex_orbit_classes(self):
-        """Orbit class per vertex; classes numbered by their minimal member."""
-        classes = [-1] * self.complex.vertex_count
-        next_class = 0
-        for v in range(self.complex.vertex_count):
-            if classes[v] < 0:
-                for row in self._simplex_images:
-                    classes[row[v]] = next_class
-                next_class += 1
-        return classes
+
+def _orbit_keys(action):
+    """Per simplex, the sorted vertex orbits of its vertices."""
+    ids = action.orbit_ids
+    return [tuple(sorted(ids[v] for v in simplex)) for simplex in action.complex.simplices]
 
 
 def check_regularity(action):
@@ -145,52 +150,58 @@ def check_regularity(action):
     simplex; within each condition, simplices are visited canonically.
     """
     complex_ = action.complex
-    vclass = action.vertex_orbit_classes()
+    ids = action.orbit_ids
+    keys = _orbit_keys(action)
+    repeat = next((sid for sid, key in enumerate(keys) if len(set(key)) < len(key)), None)
 
-    for sid, simplex in enumerate(complex_.simplices):
-        if len(simplex) == 1:
-            continue
-        for g in action.stab(sid).elements:
-            moved = next((v for v in simplex if action.act_on_vertex(g, v) != v), None)
-            if moved is not None:
-                return RegularityReport(
-                    False,
-                    POINTWISE_FIX,
-                    {"simplex": sid, "element": g, "vertex": moved},
-                )
+    # (3) implies (1): a setwise stabilizer maps each vertex of the simplex into
+    # that vertex's own orbit, which under (3) meets the simplex in that vertex
+    # alone.  So only an action violating (3) can violate (1).
+    if repeat is not None:
+        for sid, simplex in enumerate(complex_.simplices):
+            if len(simplex) == 1:
+                continue
+            for g in action.stab(sid).elements:
+                moved = next((v for v in simplex if action.act_on_simplex(g, v) != v), None)
+                if moved is not None:
+                    return RegularityReport(
+                        False,
+                        POINTWISE_FIX,
+                        {"simplex": sid, "element": g, "vertex": moved},
+                    )
 
-    # Simplices sharing a vertex-orbit multiset are mutually recombinable:
-    # matching vertices of one against the vertex orbits of the other is a
-    # matter of pairing off equal classes.
-    buckets = {}
-    for sid, simplex in enumerate(complex_.simplices):
-        key = tuple(sorted(vclass[v] for v in simplex))
-        buckets.setdefault(key, []).append(sid)
-    for sid, simplex in enumerate(complex_.simplices):
-        key = tuple(sorted(vclass[v] for v in simplex))
-        orbit = set(action.orb(sid))
-        stray = next((other for other in buckets[key] if other not in orbit), None)
-        if stray is not None:
-            return RegularityReport(
-                False,
-                ORBIT_CLOSURE,
-                {"simplex": sid, "recombined": stray},
-            )
+    # Simplices sharing a key are mutually recombinable: matching the vertices
+    # of one against the vertex orbits of the other pairs off equal classes.
+    # A bucket either lies in one orbit or gives every member a stray, so the
+    # first simplex with a stray is the first bucket head with one.
+    heads = {}
+    strays = {}
+    for sid, key in enumerate(keys):
+        head = heads.setdefault(key, sid)
+        if ids[sid] != ids[head] and head not in strays:
+            strays[head] = sid
+    if strays:
+        head = min(strays)
+        return RegularityReport(
+            False,
+            ORBIT_CLOSURE,
+            {"simplex": head, "recombined": strays[head]},
+        )
 
-    for sid, simplex in enumerate(complex_.simplices):
+    if repeat is not None:
         seen = {}
-        for v in simplex:
-            if vclass[v] in seen:
-                u = seen[vclass[v]]
+        for v in complex_.simplices[repeat]:
+            if ids[v] in seen:
+                u = seen[ids[v]]
                 carrier = next(
-                    g for g in range(action.group.order) if action.act_on_vertex(g, u) == v
+                    g for g in range(action.group.order) if action.act_on_simplex(g, u) == v
                 )
                 return RegularityReport(
                     False,
                     DISTINCT_VERTEX_ORBITS,
-                    {"simplex": sid, "vertices": [u, v], "element": carrier},
+                    {"simplex": repeat, "vertices": [u, v], "element": carrier},
                 )
-            seen[vclass[v]] = v
+            seen[ids[v]] = v
 
     return RegularityReport(True)
 
@@ -206,11 +217,10 @@ def quotient(action):
     if not report.regular:
         raise RegularityViolationError(report)
     complex_ = action.complex
-    vclass = action.vertex_orbit_classes()
-    n_classes = max(vclass) + 1 if vclass else 0
-    images = [tuple(sorted(vclass[v] for v in s)) for s in complex_.simplices]
-    quotient_complex = build_complex(set(images), vertex_count=n_classes)
-    p = [quotient_complex.index[img] for img in images]
+    n_classes = max(action.orbit_ids[: complex_.vertex_count], default=-1) + 1
+    keys = _orbit_keys(action)
+    quotient_complex = build_complex(set(keys), vertex_count=n_classes)
+    p = [quotient_complex.index[key] for key in keys]
     return quotient_complex, p
 
 

@@ -22,7 +22,14 @@ from .bench import FAMILIES, growth_exponents, rows_to_csv, run_bench
 from .cog import triple_from_doc, triple_to_doc, validate_triple
 from .complexes import barycentric_subdivision, complex_from_doc, complex_to_doc
 from .compress import LIFT_POLICIES, compress, compression_ratio
-from .errors import EquicompressError, FormatError, RegularityViolationError, TripleValidationError
+from .errors import (
+    ComplexTooLargeError,
+    EquicompressError,
+    FormatError,
+    GroupTooLargeError,
+    RegularityViolationError,
+    TripleValidationError,
+)
 from .reconstruct import reconstruct
 from .verify import verify_roundtrip
 
@@ -48,11 +55,11 @@ def _dump(doc, path):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -62,6 +69,8 @@ def _load_complex(path):
 
 def _load_action(complex_path, action_path):
     doc = _load_json(action_path)
+    if not isinstance(doc, dict):
+        raise FormatError("action must be an object")
     if "complex" in doc:
         complex_ = complex_from_doc(doc["complex"], "$.complex")
     elif complex_path:
@@ -83,18 +92,21 @@ def cmd_check_regular(args):
 
 
 def cmd_subdivide(args):
-    if args.action:
-        action = _load_action(args.complex, args.action)
-        for _ in range(args.times):
-            action = induced_action_on_subdivision(
-                action, barycentric_subdivision(action.complex)
-            )
-        _dump(action_to_doc(action), args.out)
-    else:
-        complex_ = _load_complex(args.complex)
-        for _ in range(args.times):
-            complex_ = barycentric_subdivision(complex_).target
-        _dump(complex_to_doc(complex_), args.out)
+    try:
+        if args.action:
+            action = _load_action(args.complex, args.action)
+            for _ in range(args.times):
+                action = induced_action_on_subdivision(
+                    action, barycentric_subdivision(action.complex)
+                )
+            _dump(action_to_doc(action), args.out)
+        else:
+            complex_ = _load_complex(args.complex)
+            for _ in range(args.times):
+                complex_ = barycentric_subdivision(complex_).target
+            _dump(complex_to_doc(complex_), args.out)
+    except ComplexTooLargeError as exc:
+        raise FormatError(str(exc), "--times") from exc
     return EXIT_OK
 
 
@@ -112,11 +124,11 @@ def cmd_quotient(args):
 def cmd_compress(args):
     action = _load_action(args.complex, args.action)
     try:
-        triple, certificate = compress(action, lift_policy=args.lift_policy)
+        triple, _ = compress(action, lift_policy=args.lift_policy)
     except RegularityViolationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
-    _dump(triple_to_doc(triple, certificate), args.out)
+    _dump(triple_to_doc(triple), args.out)
     total_index = sum(
         action.group.order // len(s) for s in triple.stabilizers
     )
@@ -130,7 +142,7 @@ def cmd_compress(args):
 
 
 def cmd_reconstruct(args):
-    triple, _ = _load_triple(args.triple)
+    triple = _load_triple(args.triple)
     try:
         rc = reconstruct(triple)
     except TripleValidationError as exc:
@@ -164,7 +176,7 @@ def cmd_roundtrip(args):
 
 
 def cmd_validate_triple(args):
-    triple, _ = _load_triple(args.triple)
+    triple = _load_triple(args.triple)
     report = validate_triple(triple)
     _dump(report.to_doc(), args.out)
     return EXIT_OK if report.valid else EXIT_MATH
@@ -173,7 +185,7 @@ def cmd_validate_triple(args):
 def cmd_bench(args):
     try:
         rows = run_bench(args.family, args.orders, repeats=args.repeats)
-    except ValueError as exc:  # a family member undefined at some order
+    except (ValueError, GroupTooLargeError) as exc:  # no family member at some order
         raise FormatError(str(exc), "--orders") from exc
     exponents = growth_exponents(rows) if len(args.orders) > 1 else None
     _write(rows_to_csv(rows, exponents), args.out)

@@ -134,8 +134,8 @@ def validate_against_action(triple, certificate, action):
     return ValidationReport(not violations, violations)
 
 
-def triple_to_doc(triple, certificate=None):
-    doc = {
+def triple_to_doc(triple):
+    return {
         "group": group_to_doc(triple.group),
         "quotient": complex_to_doc(triple.quotient),
         "stabilizers": [list(s.elements) for s in triple.stabilizers],
@@ -143,18 +143,12 @@ def triple_to_doc(triple, certificate=None):
             [parent, child, g] for (parent, child), g in sorted(triple.transfers.items())
         ],
     }
-    if certificate is not None:
-        doc["certificate"] = {
-            "p": list(certificate.orbit_map),
-            "lift": list(certificate.lifts),
-        }
-    return doc
 
 
 def triple_from_doc(doc, location="$"):
     """Parse a triple document, checking structure but not algebraic laws.
 
-    Returns (triple, certificate-or-None).
+    Keys other than the four of ``triple_to_doc`` are ignored.
     """
     if not isinstance(doc, dict):
         raise FormatError("triple must be an object", location)
@@ -197,30 +191,4 @@ def triple_from_doc(doc, location="$"):
             raise FormatError(f"duplicate transfer for ({parent}, {child})", where)
         transfers[(parent, child)] = g
 
-    triple = CompressedTriple(group, quotient, stabilizers, transfers)
-
-    certificate = None
-    cert_doc = doc.get("certificate")
-    if cert_doc is not None:
-        if not isinstance(cert_doc, dict):
-            raise FormatError("certificate must be an object", f"{location}.certificate")
-        p = cert_doc.get("p")
-        lifts = cert_doc.get("lift")
-        if not isinstance(p, list) or not all(
-            type(y) is int and 0 <= y < len(quotient) for y in p
-        ):
-            raise FormatError(
-                "p must map simplex ids to quotient ids", f"{location}.certificate.p"
-            )
-        if (
-            not isinstance(lifts, list)
-            or len(lifts) != len(quotient)
-            or not all(type(x) is int and 0 <= x < len(p) for x in lifts)
-        ):
-            raise FormatError(
-                "lift must choose one source simplex per quotient simplex",
-                f"{location}.certificate.lift",
-            )
-        certificate = CompressionCertificate(p, lifts)
-
-    return triple, certificate
+    return CompressedTriple(group, quotient, stabilizers, transfers)

@@ -9,6 +9,10 @@ class GroupTooLargeError(EquicompressError):
     """Generator closure exceeded the configured maximum group order."""
 
 
+class ComplexTooLargeError(EquicompressError):
+    """A derived complex would exceed ``complexes.MAX_SIMPLICES`` simplices."""
+
+
 class MalformedSimplexError(EquicompressError):
     """A simplex was given with duplicate or negative vertex ids."""
 

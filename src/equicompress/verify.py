@@ -138,13 +138,13 @@ def find_equivariant_isomorphism(action_a, action_b, bound=300):
         if not assigned_orbit[v]:
             reps.append(v)
             for g in range(group.order):
-                assigned_orbit[action_a.act_on_vertex(g, v)] = True
+                assigned_orbit[action_a.act_on_simplex(g, v)] = True
 
     # simplices checkable once the orbits of their vertices are all assigned
     orbit_of_a = {}
     for i, v in enumerate(reps):
         for g in range(group.order):
-            orbit_of_a[action_a.act_on_vertex(g, v)] = i
+            orbit_of_a[action_a.act_on_simplex(g, v)] = i
     checkpoints = [[] for _ in reps]
     for simplex in a.simplices:
         if len(simplex) > 1:
@@ -156,7 +156,7 @@ def find_equivariant_isomorphism(action_a, action_b, bound=300):
 
     def vertex_stab(action, v):
         return frozenset(
-            g for g in range(group.order) if action.act_on_vertex(g, v) == v
+            g for g in range(group.order) if action.act_on_simplex(g, v) == v
         )
 
     stab_a = [vertex_stab(action_a, v) for v in reps]
@@ -171,8 +171,8 @@ def find_equivariant_isomorphism(action_a, action_b, bound=300):
             images = {}
             ok = True
             for g in range(group.order):
-                source = action_a.act_on_vertex(g, v)
-                target = action_b.act_on_vertex(g, w)
+                source = action_a.act_on_simplex(g, v)
+                target = action_b.act_on_simplex(g, w)
                 if source in images and images[source] != target:
                     ok = False
                     break

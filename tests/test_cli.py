@@ -10,7 +10,8 @@ import pytest
 import equicompress
 from equicompress.actions import action_to_doc
 from equicompress.cli import main
-from equicompress.complexes import build_complex, complex_to_doc
+from equicompress.complexes import build_complex, complex_to_doc, subdivision_size
+from equicompress.compress import compress
 from equicompress.families import (
     cycle_complex,
     hexagon_antipodal_action,
@@ -94,7 +95,7 @@ def test_compress_reconstruct_roundtrip(tmp_path, capsys, hexagon_action_file):
 
     rec_path = str(tmp_path / "rec.json")
     assert main(["reconstruct", "--triple", triple_path, "--out", rec_path]) == 0
-    rec = json.loads(open(rec_path).read())
+    rec = json.loads(Path(rec_path).read_text())
     assert rec["complex"]["vertices"] == 6
     assert len(rec["labels"]) == 12
 
@@ -112,9 +113,30 @@ def test_closed_complexes_are_not_capped_as_documents(tmp_path, capsys):
     assert main(["compress", "--action", action_path, "--out", triple_path]) == 0
     rec_path = str(tmp_path / "rec.json")
     assert main(["reconstruct", "--triple", triple_path, "--out", rec_path]) == 0
-    assert len(json.loads(open(rec_path).read())["labels"]) == 4095
+    assert len(json.loads(Path(rec_path).read_text())["labels"]) == 4095
     assert main(["roundtrip", "--action", action_path]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_triple_with_a_certificate_still_parses(tmp_path, capsys):
+    # triples once carried the orbit map and the lifts as "certificate"; a
+    # triple in that format parses, the key is ignored, and it rebuilds the same
+    action = klein_four_bowtie_action(subdivisions=2)
+    action_path = write(tmp_path, "action.json", action_to_doc(action))
+    triple_path = str(tmp_path / "triple.json")
+    assert main(["compress", "--action", action_path, "--out", triple_path]) == 0
+    doc = json.loads(Path(triple_path).read_text())
+    assert sorted(doc) == ["group", "quotient", "stabilizers", "transfers"]
+    _, certificate = compress(action)
+    doc["certificate"] = {"p": certificate.orbit_map, "lift": certificate.lifts}
+    old_path = write(tmp_path, "old.json", doc)
+    assert main(["validate-triple", "--triple", old_path]) == 0
+    rebuilt = {}
+    for name, path in (("new", triple_path), ("old", old_path)):
+        rebuilt[name] = tmp_path / f"rebuilt-{name}.json"
+        assert main(["reconstruct", "--triple", path, "--out", str(rebuilt[name])]) == 0
+    assert rebuilt["old"].read_bytes() == rebuilt["new"].read_bytes()
+    capsys.readouterr()
 
 
 def test_compress_irregular_exits_1(tmp_path, capsys):
@@ -128,7 +150,7 @@ def test_corrupted_triple_exits_1(tmp_path, capsys, hexagon_action_file):
     triple_path = str(tmp_path / "triple.json")
     main(["compress", "--action", hexagon_action_file, "--out", triple_path])
     capsys.readouterr()
-    doc = json.loads(open(triple_path).read())
+    doc = json.loads(Path(triple_path).read_text())
     doc["transfers"] = doc["transfers"][:-1]  # drop one relation
     broken = write(tmp_path, "broken.json", doc)
     assert main(["reconstruct", "--triple", broken]) == 1
@@ -162,8 +184,6 @@ def test_oversized_group_exits_2(tmp_path, capsys, hexagon_action_file):
         ("triple", ("quotient", "maximal_simplices", 0, 1), "$.quotient.maximal_simplices"),
         ("triple", ("stabilizers", 0, 0), "$.stabilizers[0]"),
         ("triple", ("transfers", 0, 2), "$.transfers[0]"),
-        ("triple", ("certificate", "p", 0), "$.certificate.p"),
-        ("triple", ("certificate", "lift", 0), "$.certificate.lift"),
         ("action", ("complex", "vertices"), "$.complex.vertices"),
         ("action", ("group", "generators", "g0", 0), "$.group.generators.g0"),
     ],
@@ -232,14 +252,8 @@ def test_bench_rejects_bad_sizes(argv, capsys):
     assert "--orders" in err or "--repeats" in err
 
 
-def test_oversized_complex_exits_2_before_allocating(tmp_path):
-    # a 26-vertex simplex has 2^26 - 1 faces; the run gets 1 GiB of address
-    # space, so building the closure would end in a MemoryError instead
-    doc = {
-        "complex": {"vertices": 26, "maximal_simplices": [list(range(26))]},
-        "group": {"generators": {}},
-    }
-    path = write(tmp_path, "big.json", doc)
+def run_cli(argv):
+    """Run the CLI in a fresh process with 1 GiB of address space."""
     src = str(Path(equicompress.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -247,13 +261,70 @@ def test_oversized_complex_exits_2_before_allocating(tmp_path):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    result = subprocess.run(
-        [sys.executable, "-m", "equicompress.cli", "check-regular", "--action", path],
+    return subprocess.run(
+        [sys.executable, "-m", "equicompress.cli", *argv],
         env=env,
         preexec_fn=limit_memory,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_oversized_complex_exits_2_before_allocating(tmp_path):
+    # a 26-vertex simplex has 2^26 - 1 faces; building the closure in 1 GiB of
+    # address space would end in a MemoryError instead
+    doc = {
+        "complex": {"vertices": 26, "maximal_simplices": [list(range(26))]},
+        "group": {"generators": {}},
+    }
+    result = run_cli(["check-regular", "--action", write(tmp_path, "big.json", doc)])
     assert result.returncode == 2, result.stderr
     assert "$.complex.maximal_simplices:" in result.stderr
+
+
+def test_oversized_subdivision_exits_2_before_listing_chains(tmp_path):
+    # the 11-simplex (4,095 faces) is admitted, but its subdivision has one
+    # chain of faces per ordered set partition of each face's vertices
+    path = write(tmp_path, "simplex.json", complex_to_doc(build_complex([list(range(12))])))
+    result = run_cli(["subdivide", "--complex", path, "--times", "1"])
+    assert result.returncode == 2, result.stderr
+    count = subdivision_size(build_complex([list(range(12))]))
+    assert f"--times: subdivision of {count} simplices exceeds the maximum" in result.stderr
+
+
+DEEP = b"[" * 100_000 + b"]" * 100_000
+NOT_UTF8 = b'{"group": {"generators": {}}, "\xff": 0}'
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["check-regular", "--action"], b"5"),
+        (["check-regular", "--action"], b"null"),
+        (["check-regular", "--action"], NOT_UTF8),
+        (["validate-triple", "--triple"], NOT_UTF8),
+        (["check-regular", "--action"], DEEP),
+        (["reconstruct", "--triple"], DEEP),
+        # C_4097 rotating a wheel: the closure passes the order cap
+        (["bench", "--family", "simplex-rotation", "--orders", "4097"], None),
+    ],
+    ids=[
+        "action-number",
+        "action-null",
+        "action-not-utf8",
+        "triple-not-utf8",
+        "action-deep",
+        "triple-deep",
+        "bench-order-cap",
+    ],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, argv, content):
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        argv = [*argv, str(path)]
+    result = run_cli(argv)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")

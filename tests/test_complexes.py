@@ -1,5 +1,6 @@
 import pytest
 
+from equicompress import complexes
 from equicompress.complexes import (
     MAX_SIMPLICES,
     barycentric_subdivision,
@@ -7,9 +8,17 @@ from equicompress.complexes import (
     complex_from_doc,
     complex_to_doc,
     complexes_equal,
+    subdivision_size,
 )
-from equicompress.errors import FormatError, MalformedSimplexError
-from equicompress.families import bowtie_complex, cycle_complex, triangle_complex, wheel_complex
+from equicompress.errors import ComplexTooLargeError, FormatError, MalformedSimplexError
+from equicompress.families import (
+    bowtie_complex,
+    cycle_complex,
+    irregular_fixtures,
+    regular_fixtures,
+    triangle_complex,
+    wheel_complex,
+)
 
 
 def test_downward_closure_and_canonical_order():
@@ -119,3 +128,31 @@ def test_closure_cap_is_checked_before_building():
         {"vertices": MAX_SIMPLICES - higher_faces, "maximal_simplices": [list(range(17))]}
     )
     assert len(at_cap) == MAX_SIMPLICES
+
+
+def test_subdivision_size_is_exact():
+    fixtures = [a.complex for a in regular_fixtures().values()]
+    fixtures += [a.complex for a, _ in irregular_fixtures().values()]
+    fixtures += [bowtie_complex(), wheel_complex(5), build_complex([], vertex_count=3)]
+    # each fixture complex and its first subdivision
+    for x in fixtures:
+        sd = barycentric_subdivision(x).target
+        assert subdivision_size(x) == len(sd)
+        assert subdivision_size(sd) == len(barycentric_subdivision(sd).target)
+    # full simplices up to dimension 5 (a 5-simplex has 9,365 chains of faces)
+    for n in range(1, 7):
+        x = build_complex([list(range(n))])
+        assert subdivision_size(x) == len(barycentric_subdivision(x).target)
+
+
+def test_subdivision_cap_is_checked_before_listing_chains(monkeypatch):
+    # the subdivided triangle has 25 simplices
+    monkeypatch.setattr(complexes, "MAX_SIMPLICES", 25)
+    assert len(barycentric_subdivision(triangle_complex()).target) == 25
+    monkeypatch.setattr(complexes, "MAX_SIMPLICES", 24)
+    with pytest.raises(ComplexTooLargeError, match="25 simplices exceeds the maximum 24"):
+        barycentric_subdivision(triangle_complex())
+    monkeypatch.undo()
+    # an admitted 11-simplex: sum over k of C(12, k) * Fubini(k) chains of faces
+    with pytest.raises(ComplexTooLargeError, match="56183135189 simplices"):
+        barycentric_subdivision(build_complex([list(range(12))]))

@@ -38,7 +38,7 @@ def closed_with_permutations(generators, n):
     """The group the generators close to, and each element's permutation of 0..n-1."""
     action = GroupAction.from_generator_perms(generators, build_complex([], vertex_count=n))
     perms = [
-        tuple(action.act_on_vertex(g, v) for v in range(n)) for g in range(action.group.order)
+        tuple(action.act_on_simplex(g, v) for v in range(n)) for g in range(action.group.order)
     ]
     return action.group, perms
 

@@ -88,7 +88,7 @@ def test_isomorphism_between_lift_policies():
             assert tuple(sorted(vmap[v] for v in s)) in b.complex.index
         for g in range(a.group.order):
             for v in range(a.complex.vertex_count):
-                assert vmap[a.act_on_vertex(g, v)] == b.act_on_vertex(g, vmap[v])
+                assert vmap[a.act_on_simplex(g, v)] == b.act_on_simplex(g, vmap[v])
 
 
 def test_isomorphism_rejects_different_shapes():
