@@ -26,14 +26,13 @@ from .cog import (
 )
 from .complexes import (
     SimplicialComplex,
-    SubdivisionMap,
     barycentric_subdivision,
     build_complex,
     complex_from_doc,
     complex_to_doc,
     complexes_equal,
 )
-from .compress import LIFT_POLICIES, compress, compression_ratio
+from .compress import compress, compression_ratio
 from .errors import (
     BruteForceBoundError,
     ComplexTooLargeError,
@@ -63,7 +62,6 @@ __all__ = [
     "GroupAction",
     "GroupTooLargeError",
     "InputMismatchError",
-    "LIFT_POLICIES",
     "MalformedSimplexError",
     "NotAnAutomorphismError",
     "ReconstructedComplex",
@@ -71,7 +69,6 @@ __all__ = [
     "RegularityReport",
     "RegularityViolationError",
     "SimplicialComplex",
-    "SubdivisionMap",
     "Subgroup",
     "TripleValidationError",
     "ValidationReport",

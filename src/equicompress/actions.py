@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import build_complex, complex_to_doc
+from .complexes import barycentric_subdivision, build_complex, complex_to_doc
 from .errors import (
     FormatError,
     GroupTooLargeError,
-    InputMismatchError,
     NotAnAutomorphismError,
     RegularityViolationError,
 )
@@ -109,12 +108,6 @@ class GroupAction:
                     ids[row[sid]] = next_id
                 next_id += 1
         return ids
-
-    def orb(self, sid):
-        """Sorted duplicate-free orbit of a simplex."""
-        if self.op_counts is not None:
-            self.op_counts["orb"] += 1
-        return sorted({table[sid] for table in self._simplex_images})
 
     def stab(self, sid):
         """Setwise stabilizer subgroup of a simplex."""
@@ -224,13 +217,11 @@ def quotient(action):
     return quotient_complex, p
 
 
-def induced_action_on_subdivision(action, subdivision):
-    """Push an action through a barycentric subdivision of its complex."""
-    if subdivision.source is not action.complex:
-        raise InputMismatchError("subdivision does not source the action's complex")
-    # subdivision vertex ids are source simplex ids
+def induced_action_on_subdivision(action):
+    """Subdivide the action's complex and push the action through it."""
+    # subdivision vertex ids are simplex ids of the action's complex
     images = [action._simplex_images[g] for g in action.group.generators]
-    return GroupAction(action.group, subdivision.target, images)
+    return GroupAction(action.group, barycentric_subdivision(action.complex), images)
 
 
 def action_to_doc(action):

@@ -19,7 +19,7 @@ from .families import cycle_rotation_action, dihedral_cycle_action, wheel_rotati
 from .reconstruct import reconstruct
 
 # Group and action subroutines whose invocations are counted exactly.
-SUBROUTINES = ("prod", "inv", "minrep", "orb", "stab", "trans")
+SUBROUTINES = ("prod", "inv", "minrep", "stab", "trans")
 
 FAMILIES = {
     "cycle": cycle_rotation_action,
@@ -69,7 +69,7 @@ def bench_one(family, order, repeats=1):
         rc, reconstruct_counts = counted(action, lambda: reconstruct(triple))
         best_reconstruct = min(best_reconstruct, time.perf_counter() - t0)
 
-    f = max(len(action.orb(sid)) for sid in range(len(complex_)))
+    f = max(Counter(action.orbit_ids).values())
     h = max(len(s) for s in triple.stabilizers)
     row = {
         "fixture": f"{family}-{order}",

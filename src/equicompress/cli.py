@@ -11,17 +11,11 @@ import argparse
 import json
 import sys
 
-from .actions import (
-    action_from_doc,
-    action_to_doc,
-    check_regularity,
-    induced_action_on_subdivision,
-    quotient,
-)
+from .actions import action_from_doc, action_to_doc, check_regularity, quotient
 from .bench import FAMILIES, growth_exponents, rows_to_csv, run_bench
 from .cog import triple_from_doc, triple_to_doc, validate_triple
 from .complexes import barycentric_subdivision, complex_from_doc, complex_to_doc
-from .compress import LIFT_POLICIES, compress, compression_ratio
+from .compress import compress, compression_ratio
 from .errors import (
     ComplexTooLargeError,
     EquicompressError,
@@ -30,6 +24,7 @@ from .errors import (
     RegularityViolationError,
     TripleValidationError,
 )
+from .families import subdivide_action
 from .reconstruct import reconstruct
 from .verify import verify_roundtrip
 
@@ -94,18 +89,14 @@ def cmd_check_regular(args):
 def cmd_subdivide(args):
     try:
         if args.action:
-            action = _load_action(args.complex, args.action)
-            for _ in range(args.times):
-                action = induced_action_on_subdivision(
-                    action, barycentric_subdivision(action.complex)
-                )
+            action = subdivide_action(_load_action(args.complex, args.action), args.times)
             _dump(action_to_doc(action), args.out)
         else:
             complex_ = _load_complex(args.complex)
             for _ in range(args.times):
-                complex_ = barycentric_subdivision(complex_).target
+                complex_ = barycentric_subdivision(complex_)
             _dump(complex_to_doc(complex_), args.out)
-    except ComplexTooLargeError as exc:
+    except (ComplexTooLargeError, GroupTooLargeError) as exc:
         raise FormatError(str(exc), "--times") from exc
     return EXIT_OK
 
@@ -124,7 +115,7 @@ def cmd_quotient(args):
 def cmd_compress(args):
     action = _load_action(args.complex, args.action)
     try:
-        triple, _ = compress(action, lift_policy=args.lift_policy)
+        triple, _ = compress(action)
     except RegularityViolationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
@@ -161,7 +152,7 @@ def cmd_reconstruct(args):
 def cmd_roundtrip(args):
     action = _load_action(args.complex, args.action)
     try:
-        triple, certificate = compress(action, lift_policy=args.lift_policy)
+        triple, certificate = compress(action)
     except RegularityViolationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
@@ -235,8 +226,6 @@ def build_parser():
         if flags.get("triple"):
             p.add_argument("--triple", required=True, help="compressed triple JSON file")
         p.add_argument("--out", help="output file (default: stdout)")
-        if flags.get("policy"):
-            p.add_argument("--lift-policy", choices=LIFT_POLICIES, default="lex-min")
         if flags.get("times"):
             p.add_argument("--times", type=_non_negative_int, default=2)
         p.set_defaults(fn=fn)
@@ -245,9 +234,9 @@ def build_parser():
     add("check-regular", cmd_check_regular, complex=True, action="required")
     add("subdivide", cmd_subdivide, complex=True, action="optional", times=True)
     add("quotient", cmd_quotient, complex=True, action="required")
-    add("compress", cmd_compress, complex=True, action="required", policy=True)
+    add("compress", cmd_compress, complex=True, action="required")
     add("reconstruct", cmd_reconstruct, triple=True)
-    add("roundtrip", cmd_roundtrip, complex=True, action="required", policy=True)
+    add("roundtrip", cmd_roundtrip, complex=True, action="required")
     add("validate-triple", cmd_validate_triple, triple=True)
 
     bench = sub.add_parser("bench")

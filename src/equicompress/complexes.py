@@ -104,14 +104,6 @@ def complexes_equal(a, b):
     return a.vertex_count == b.vertex_count and a.simplices == b.simplices
 
 
-class SubdivisionMap:
-    """A barycentric subdivision: target vertex v is the barycenter of source simplex v."""
-
-    def __init__(self, source, target):
-        self.source = source
-        self.target = target
-
-
 def subdivision_size(complex_):
     """Exact simplex count of the barycentric subdivision, listing no chain.
 
@@ -125,37 +117,34 @@ def subdivision_size(complex_):
     return sum(n * tops[d] for d, n in enumerate(complex_.counts_by_dim()))
 
 
-def barycentric_subdivision(source):
-    """Subdivide: new vertices are source simplices, new simplices are chains.
+def barycentric_subdivision(complex_):
+    """Subdivide: new vertices are simplices, new simplices are chains of faces.
 
-    New vertex ids equal source simplex ids (both follow canonical order).
-    Raises ComplexTooLargeError, before any chain is listed, when the
-    subdivision would hold more than MAX_SIMPLICES simplices.
+    New vertex ids equal the simplex ids of ``complex_`` (both follow
+    canonical order), so a chain is an ascending id tuple.  Raises
+    ComplexTooLargeError, before any chain is listed, when the subdivision
+    would hold more than MAX_SIMPLICES simplices.
     """
-    size = subdivision_size(source)
+    size = subdivision_size(complex_)
     if size > MAX_SIMPLICES:
         raise ComplexTooLargeError(
             f"subdivision of {size} simplices exceeds the maximum {MAX_SIMPLICES}"
         )
-    flags_at = [None] * len(source)
-
-    def flags(sid):
-        cached = flags_at[sid]
-        if cached is None:
-            facets = source.faces_down[sid]
-            if not facets:
-                cached = [(sid,)]
-            else:
-                cached = [fl + (sid,) for fid in facets for fl in flags(fid)]
-            flags_at[sid] = cached
-        return cached
-
-    maximal_chains = []
-    for sid in range(len(source)):
-        if not source.cofaces_up[sid]:
-            maximal_chains.extend(flags(sid))
-    target = build_complex(maximal_chains, vertex_count=len(source))
-    return SubdivisionMap(source, target)
+    index = complex_.index
+    chains_at = []  # per simplex, the chains topped at it
+    by_length = [[] for _ in range(complex_.dim + 1)]
+    for sid, simplex in enumerate(complex_.simplices):
+        # the simplex alone, or over a chain topped at one of its proper faces
+        chains = [(sid,)]
+        for k in range(1, len(simplex)):
+            for face in combinations(simplex, k):
+                chains.extend(chain + (sid,) for chain in chains_at[index[face]])
+        chains_at.append(chains)
+        for chain in chains:
+            by_length[len(chain) - 1].append(chain)
+    return SimplicialComplex(
+        len(complex_), [chain for bucket in by_length for chain in sorted(bucket)]
+    )
 
 
 def complex_to_doc(complex_):

@@ -6,33 +6,23 @@ stabilizer of its lift and one transfer per codimension-1 face of the lift.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .actions import quotient
 from .cog import CompressedTriple, CompressionCertificate
 
-LIFT_POLICIES = ("lex-min", "lex-max", "equivariant-bfs")
 
-
-def compress(action, lift_policy="lex-min"):
+def compress(action):
     """Run the compression algorithm.
 
-    Returns (CompressedTriple, CompressionCertificate).  Raises
+    Each class is lifted to its minimal member, the member by which
+    ``GroupAction.orbit_ids`` numbers the orbit.  Returns
+    (CompressedTriple, CompressionCertificate).  Raises
     RegularityViolationError (carrying the report) for irregular actions.
     """
-    if lift_policy not in LIFT_POLICIES:
-        raise ValueError(f"unknown lift policy {lift_policy!r}")
     quotient_complex, orbit_map = quotient(action)  # raises on irregular actions
-    fibers = [[] for _ in range(len(quotient_complex))]
+    lifts = [None] * len(quotient_complex)
     for x, y in enumerate(orbit_map):
-        fibers[y].append(x)  # ascending, i.e. lex order within a dimension
-
-    if lift_policy == "lex-min":
-        lifts = [fiber[0] for fiber in fibers]
-    elif lift_policy == "lex-max":
-        lifts = [fiber[-1] for fiber in fibers]
-    else:
-        lifts = _equivariant_bfs_lifts(action, orbit_map, fibers)
+        if lifts[y] is None:
+            lifts[y] = x
 
     stabilizers = []
     transfers = {}
@@ -50,34 +40,6 @@ def compress(action, lift_policy="lex-min"):
     triple = CompressedTriple(action.group, quotient_complex, stabilizers, transfers)
     certificate = CompressionCertificate(orbit_map, lifts)
     return triple, certificate
-
-
-def _equivariant_bfs_lifts(action, orbit_map, fibers):
-    """Seed lifts by breadth-first search, claiming whole orbits at a time.
-
-    Growing the lift set along face/coface adjacency makes more transfers
-    equal the identity; correctness does not depend on the choice.
-    """
-    lifts = [None] * len(fibers)
-    claimed = 0
-    queue = deque()
-    cursor = 0
-    complex_ = action.complex
-    while claimed < len(fibers):
-        if not queue:
-            while lifts[orbit_map[cursor]] is not None:
-                cursor += 1
-            queue.append(cursor)
-        x = queue.popleft()
-        y = orbit_map[x]
-        if lifts[y] is not None:
-            continue
-        lifts[y] = x
-        claimed += 1
-        for neighbor in complex_.faces_down[x] + complex_.cofaces_up[x]:
-            if lifts[orbit_map[neighbor]] is None:
-                queue.append(neighbor)
-    return lifts
 
 
 def compression_ratio(action, triple):

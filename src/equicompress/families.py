@@ -11,7 +11,7 @@ regular action.
 from __future__ import annotations
 
 from .actions import GroupAction, induced_action_on_subdivision
-from .complexes import barycentric_subdivision, build_complex
+from .complexes import build_complex
 
 
 def triangle_complex():
@@ -49,8 +49,7 @@ def trivial_action(complex_):
 def subdivide_action(action, times=1):
     """Push an action through ``times`` barycentric subdivisions."""
     for _ in range(times):
-        subdivision = barycentric_subdivision(action.complex)
-        action = induced_action_on_subdivision(action, subdivision)
+        action = induced_action_on_subdivision(action)
     return action
 
 

@@ -19,6 +19,12 @@ from .errors import FormatError, GroupTooLargeError, NotAnAutomorphismError
 # building it takes seconds and up to about 300 MB.
 DEFAULT_MAX_ORDER = 4096
 
+# Bound on |G| times the degree of the permutations the group is closed from or
+# acts by: the closure holds |G| permutation tuples of the domain and an action
+# holds a |G| x |X| simplex table.  C_4096 acting on a 4096-cycle (4096 x 8192
+# simplex images) sits at the bound.
+MAX_TABLE_ENTRIES = 1 << 25
+
 
 def uniqsort(elements):
     """Sort element indices ascending and drop duplicates."""
@@ -55,6 +61,11 @@ class FiniteGroup:
         Row h = parent(h)*s maps x to row[parent(h)][row[s][x]]; checking
         every Cayley-graph edge g -> g*s makes the rows a homomorphism.
         """
+        if self.order * degree > MAX_TABLE_ENTRIES:
+            raise GroupTooLargeError(
+                f"a table of {self.order} x {degree} entries exceeds the maximum "
+                f"{MAX_TABLE_ENTRIES}"
+            )
         rows = [list(range(degree))]
         for h in range(1, self.order):
             parent_row = rows[self._parents[h]]
@@ -181,6 +192,12 @@ def enumerate_from_generators(generators, domain_size, max_order=DEFAULT_MAX_ORD
                 if h >= max_order:
                     raise GroupTooLargeError(
                         f"generator closure exceeds maximum order {max_order}"
+                    )
+                if (h + 1) * domain_size > MAX_TABLE_ENTRIES:
+                    raise GroupTooLargeError(
+                        f"generator closure of more than {h} permutations of "
+                        f"{domain_size} points exceeds the maximum of "
+                        f"{MAX_TABLE_ENTRIES} table entries"
                     )
                 seen[new] = h
                 perms.append(new)

@@ -132,19 +132,21 @@ def find_equivariant_isomorphism(action_a, action_b, bound=300):
         return None
     group = action_a.group
 
+    # orbits in breadth-first order along edges, so that each placed orbit
+    # closes simplices with the orbits placed before it
     reps = []
-    assigned_orbit = [False] * a.vertex_count
-    for v in range(a.vertex_count):
-        if not assigned_orbit[v]:
-            reps.append(v)
+    orbit_of_a = [-1] * a.vertex_count
+    for start in range(a.vertex_count):
+        queue = [start]
+        for v in queue:  # grows while walked
+            if orbit_of_a[v] >= 0:
+                continue
             for g in range(group.order):
-                assigned_orbit[action_a.act_on_simplex(g, v)] = True
+                orbit_of_a[action_a.act_on_simplex(g, v)] = len(reps)
+            reps.append(v)
+            queue.extend(u for e in a.cofaces_up[v] for u in a.simplices[e] if u != v)
 
     # simplices checkable once the orbits of their vertices are all assigned
-    orbit_of_a = {}
-    for i, v in enumerate(reps):
-        for g in range(group.order):
-            orbit_of_a[action_a.act_on_simplex(g, v)] = i
     checkpoints = [[] for _ in reps]
     for simplex in a.simplices:
         if len(simplex) > 1:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import equicompress
+from equicompress import groups
 from equicompress.actions import action_to_doc
 from equicompress.cli import main
 from equicompress.complexes import build_complex, complex_to_doc, subdivision_size
@@ -291,6 +292,33 @@ def test_oversized_subdivision_exits_2_before_listing_chains(tmp_path):
     assert result.returncode == 2, result.stderr
     count = subdivision_size(build_complex([list(range(12))]))
     assert f"--times: subdivision of {count} simplices exceeds the maximum" in result.stderr
+
+
+def test_table_budget_exits_2_before_allocating(tmp_path):
+    # C_4096 rotating a 16,384-cycle passes the order cap and the complex cap,
+    # but its closure (4096 permutations of 16,384 points) and its simplex
+    # table (4096 x 32,768 images) would end in a MemoryError in 1 GiB
+    n = 16_384
+    doc = {
+        "complex": complex_to_doc(cycle_complex(n)),
+        "group": {"generators": {"shift": [(v + 4) % n for v in range(n)]}},
+    }
+    result = run_cli(["check-regular", "--action", write(tmp_path, "big.json", doc)])
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "$.group.generators:" in result.stderr
+    assert "exceeds the maximum of 33554432 table entries" in result.stderr
+
+
+def test_table_budget_of_an_induced_action_exits_2(tmp_path, monkeypatch, capsys):
+    # the antipodal hexagon action has a 2 x 12 table, its subdivision 2 x 24
+    monkeypatch.setattr(groups, "MAX_TABLE_ENTRIES", 24)
+    path = write(tmp_path, "hexagon.json", action_to_doc(hexagon_antipodal_action()))
+    assert main(["check-regular", "--action", path]) == 0
+    capsys.readouterr()
+    assert main(["subdivide", "--action", path, "--times", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--times: a table of 2 x 24 entries exceeds the maximum 24" in err
 
 
 DEEP = b"[" * 100_000 + b"]" * 100_000

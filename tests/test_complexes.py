@@ -66,13 +66,13 @@ def test_maximal_simplices():
 def test_subdivision_of_an_edge():
     edge = build_complex([[0, 1]])
     sd = barycentric_subdivision(edge)
-    assert sd.target.counts_by_dim() == [3, 2]
+    assert sd.counts_by_dim() == [3, 2]
     # new vertex ids are the source simplex ids: vertex 2 is the edge's barycenter
-    assert sd.target.maximal_simplices() == [(0, 2), (1, 2)]
+    assert sd.maximal_simplices() == [(0, 2), (1, 2)]
 
 
 def test_subdivision_counts_of_triangle():
-    sd = barycentric_subdivision(triangle_complex()).target
+    sd = barycentric_subdivision(triangle_complex())
     # 7 old simplices as vertices, 12 chains of length 2, 6 flags
     assert sd.counts_by_dim() == [7, 12, 6]
     assert sd.euler_characteristic() == 1
@@ -81,7 +81,7 @@ def test_subdivision_counts_of_triangle():
 def test_double_subdivision_of_hexagon_is_24_cycle():
     x = cycle_complex(6)
     for _ in range(2):
-        x = barycentric_subdivision(x).target
+        x = barycentric_subdivision(x)
     assert complexes_equal(x, cycle_complex(24)) or (
         x.counts_by_dim() == [24, 24] and x.euler_characteristic() == 0
     )
@@ -91,7 +91,7 @@ def test_double_subdivision_of_hexagon_is_24_cycle():
 
 def test_subdivision_preserves_euler_characteristic():
     for x in (triangle_complex(), bowtie_complex(), wheel_complex(4)):
-        sd = barycentric_subdivision(x).target
+        sd = barycentric_subdivision(x)
         assert sd.euler_characteristic() == x.euler_characteristic()
 
 
@@ -136,19 +136,19 @@ def test_subdivision_size_is_exact():
     fixtures += [bowtie_complex(), wheel_complex(5), build_complex([], vertex_count=3)]
     # each fixture complex and its first subdivision
     for x in fixtures:
-        sd = barycentric_subdivision(x).target
+        sd = barycentric_subdivision(x)
         assert subdivision_size(x) == len(sd)
-        assert subdivision_size(sd) == len(barycentric_subdivision(sd).target)
+        assert subdivision_size(sd) == len(barycentric_subdivision(sd))
     # full simplices up to dimension 5 (a 5-simplex has 9,365 chains of faces)
     for n in range(1, 7):
         x = build_complex([list(range(n))])
-        assert subdivision_size(x) == len(barycentric_subdivision(x).target)
+        assert subdivision_size(x) == len(barycentric_subdivision(x))
 
 
 def test_subdivision_cap_is_checked_before_listing_chains(monkeypatch):
     # the subdivided triangle has 25 simplices
     monkeypatch.setattr(complexes, "MAX_SIMPLICES", 25)
-    assert len(barycentric_subdivision(triangle_complex()).target) == 25
+    assert len(barycentric_subdivision(triangle_complex())) == 25
     monkeypatch.setattr(complexes, "MAX_SIMPLICES", 24)
     with pytest.raises(ComplexTooLargeError, match="25 simplices exceeds the maximum 24"):
         barycentric_subdivision(triangle_complex())

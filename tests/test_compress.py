@@ -2,19 +2,16 @@ import pytest
 
 from equicompress.bench import counted
 from equicompress.cog import validate_against_action, validate_triple
-from equicompress.compress import LIFT_POLICIES, compress, compression_ratio
+from equicompress.compress import compress, compression_ratio
 from equicompress.errors import RegularityViolationError
 from equicompress.families import regular_fixtures, twelve_cycle_shift_action
+
+from relabel import moved_lifts, relabelled
 
 
 def test_rejects_irregular_action():
     with pytest.raises(RegularityViolationError):
         compress(twelve_cycle_shift_action())
-
-
-def test_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        compress(regular_fixtures()["cycle-2"], lift_policy="random")
 
 
 def test_orbit_stabilizer_accounting():
@@ -36,32 +33,16 @@ def test_lex_min_lift_is_first_fiber_member():
         assert lift == fiber[0]
 
 
-def test_lex_max_lift_is_last_fiber_member():
-    action = regular_fixtures()["cycle-4"]
-    _, certificate = compress(action, lift_policy="lex-max")
-    for y, lift in enumerate(certificate.lifts):
-        fiber = [x for x, cls in enumerate(certificate.orbit_map) if cls == y]
-        assert lift == fiber[-1]
-
-
 def test_all_policies_produce_valid_triples():
+    # the original and its relabelled copy lift most classes to different members
     for name in ("hexagon-antipodal", "cycle-3", "dihedral-3", "c3-triangle-sd2"):
         action = regular_fixtures()[name]
-        for policy in LIFT_POLICIES:
-            triple, certificate = compress(action, lift_policy=policy)
-            assert validate_triple(triple).valid, (name, policy)
-            assert validate_against_action(triple, certificate, action).valid, (
-                name,
-                policy,
-            )
-
-
-def test_equivariant_bfs_prefers_identity_transfers():
-    action = regular_fixtures()["cycle-6"]
-    t_min, _ = compress(action, lift_policy="lex-min")
-    t_bfs, _ = compress(action, lift_policy="equivariant-bfs")
-    ident = lambda t: sum(1 for g in t.transfers.values() if g == 0)
-    assert ident(t_bfs) >= ident(t_min)
+        copy, to_copy = relabelled(action)
+        assert moved_lifts(action, copy, to_copy) >= 1, name
+        for acted in (action, copy):
+            triple, certificate = compress(acted)
+            assert validate_triple(triple).valid, name
+            assert validate_against_action(triple, certificate, acted).valid, name
 
 
 def test_trans_call_budget():

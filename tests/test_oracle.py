@@ -12,6 +12,8 @@ from equicompress.complexes import build_complex, complexes_equal
 from equicompress.families import regular_fixtures
 from equicompress.reconstruct import reconstruct
 
+from relabel import moved_lifts, relabelled
+
 
 def oracle_reconstruct(triple):
     group, quotient = triple.group, triple.quotient
@@ -72,8 +74,11 @@ def test_oracle_matches_engine_on_micro_fixtures():
         assert complexes_equal(oracle, rc.complex), name
 
 
-def test_oracle_matches_engine_under_lex_max_lifts():
+def test_oracle_matches_engine_under_moved_lifts():
     for name, action in micro_fixtures():
-        triple, _ = compress(action, lift_policy="lex-max")
+        copy, to_copy = relabelled(action)
+        if action.group.order > 1:
+            assert moved_lifts(action, copy, to_copy) >= 1, name
+        triple, _ = compress(copy)
         rc = reconstruct(triple)
         assert complexes_equal(oracle_reconstruct(triple), rc.complex), name
