@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import barycentric_subdivision, build_complex, complex_to_doc
+from .complexes import SimplicialComplex, barycentric_subdivision, complex_to_doc
 from .errors import (
     FormatError,
     GroupTooLargeError,
@@ -109,6 +109,12 @@ class GroupAction:
                 next_id += 1
         return ids
 
+    @cached_property
+    def orbit_keys(self):
+        """Per simplex, the sorted vertex orbits of its vertices."""
+        ids = self.orbit_ids
+        return [tuple(sorted(ids[v] for v in simplex)) for simplex in self.complex.simplices]
+
     def stab(self, sid):
         """Setwise stabilizer subgroup of a simplex."""
         if self.op_counts is not None:
@@ -129,12 +135,6 @@ class GroupAction:
         return None
 
 
-def _orbit_keys(action):
-    """Per simplex, the sorted vertex orbits of its vertices."""
-    ids = action.orbit_ids
-    return [tuple(sorted(ids[v] for v in simplex)) for simplex in action.complex.simplices]
-
-
 def check_regularity(action):
     """Check the three regularity conditions, reporting the first violation.
 
@@ -144,7 +144,7 @@ def check_regularity(action):
     """
     complex_ = action.complex
     ids = action.orbit_ids
-    keys = _orbit_keys(action)
+    keys = action.orbit_keys
     repeat = next((sid for sid, key in enumerate(keys) if len(set(key)) < len(key)), None)
 
     # (3) implies (1): a setwise stabilizer maps each vertex of the simplex into
@@ -205,14 +205,15 @@ def quotient(action):
     Returns (Y, p) where p maps each simplex id of the acted-on complex to
     its orbit class id in Y.  Vertex classes are numbered by their minimal
     member; higher simplices follow canonical order of their class tuples.
+    Under (3) a facet's key is its simplex's key less one class: the keys are closed.
     """
     report = check_regularity(action)
     if not report.regular:
         raise RegularityViolationError(report)
     complex_ = action.complex
     n_classes = max(action.orbit_ids[: complex_.vertex_count], default=-1) + 1
-    keys = _orbit_keys(action)
-    quotient_complex = build_complex(set(keys), vertex_count=n_classes)
+    keys = action.orbit_keys
+    quotient_complex = SimplicialComplex(n_classes, set(keys))
     p = [quotient_complex.index[key] for key in keys]
     return quotient_complex, p
 

@@ -139,6 +139,8 @@ def cmd_reconstruct(args):
     except TripleValidationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
+    except ComplexTooLargeError as exc:
+        raise FormatError(str(exc), "$.stabilizers") from exc
     _dump(
         {
             "complex": complex_to_doc(rc.complex),

@@ -53,7 +53,7 @@ def validate_triple(triple):
     relations = {
         (parent, child)
         for parent in range(len(quotient))
-        for child in quotient.faces_codim1(parent)
+        for child in quotient.faces_codim1[parent]
     }
     missing = sorted(relations - set(triple.transfers))
     extra = sorted(set(triple.transfers) - relations)
@@ -80,8 +80,8 @@ def validate_triple(triple):
     # length two sharing both endpoints.
     for top in range(len(quotient)):
         paths = {}
-        for mid in quotient.faces_codim1(top):
-            for bottom in quotient.faces_codim1(mid):
+        for mid in quotient.faces_codim1[top]:
+            for bottom in quotient.faces_codim1[mid]:
                 product = group.prod(triple.transfer(mid, bottom), triple.transfer(top, mid))
                 paths.setdefault(bottom, []).append((mid, product))
         for bottom, entries in sorted(paths.items()):
@@ -118,7 +118,7 @@ def validate_against_action(triple, certificate, action):
     for (parent, child), g in sorted(triple.transfers.items()):
         lift = certificate.lifts[parent]
         matching = [
-            z for z in action.complex.faces_codim1(lift) if certificate.orbit_map[z] == child
+            z for z in action.complex.faces_codim1[lift] if certificate.orbit_map[z] == child
         ]
         if len(matching) != 1:
             violations.append(
@@ -169,6 +169,8 @@ def triple_from_doc(doc, location="$"):
             type(g) is int and 0 <= g < group.order for g in members
         ):
             raise FormatError("subgroup must be a list of element indices", where)
+        if len(set(members)) != len(members):
+            raise FormatError("subgroup lists an element index twice", where)
         try:
             stabilizers.append(Subgroup(group, members))
         except ValueError as exc:
@@ -183,7 +185,7 @@ def triple_from_doc(doc, location="$"):
         if not (isinstance(entry, list) and len(entry) == 3 and all(type(v) is int for v in entry)):
             raise FormatError("transfer entry must be [parent, child, element]", where)
         parent, child, g = entry
-        if not (0 <= parent < len(quotient) and child in quotient.faces_codim1(parent)):
+        if not (0 <= parent < len(quotient) and child in quotient.faces_codim1[parent]):
             raise FormatError(f"({parent}, {child}) is not a codimension-1 face pair", where)
         if not 0 <= g < group.order:
             raise FormatError(f"element index {g} out of range", where)

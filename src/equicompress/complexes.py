@@ -1,51 +1,55 @@
 """Finite simplicial complexes with dense, canonically ordered simplex ids.
 
-Simplices are strictly sorted vertex tuples.  Ids are assigned in canonical
-order, i.e. by (dimension, lexicographic vertex tuple), so every map keyed by
-simplices can be a plain list and serialization is byte-deterministic.
+Simplices are strictly sorted vertex tuples.  ``SimplicialComplex`` numbers a
+closed set of them, given in any order, in canonical order, i.e. by
+(dimension, lexicographic vertex tuple), so every map keyed by simplices can
+be a plain list and serialization is byte-deterministic.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from .errors import ComplexTooLargeError, FormatError, MalformedSimplexError
 
-# Bound on the downward closure of a complex document and on a barycentric
-# subdivision, each checked before any face is made.  A full 17-simplex
-# (18 vertices) sits at the cap: building it takes 2.6 s and 162 MB peak RSS
-# on a 2-vCPU Xeon.
+# Bound on the downward closure of a complex document, on a barycentric
+# subdivision and on a reconstruction, each checked before any face is made.
+# A full 17-simplex (18 vertices) sits at the cap: building it takes 2.6 s and
+# 162 MB peak RSS on a 2-vCPU Xeon.
 MAX_SIMPLICES = 1 << 18
 
 
 class SimplicialComplex:
     def __init__(self, vertex_count, simplices):
         self.vertex_count = vertex_count
-        self.simplices = simplices
-        self.index = {s: i for i, s in enumerate(simplices)}
-        self.dim = max((len(s) - 1 for s in simplices), default=-1)
-        self.faces_down = []
-        for s in simplices:
-            if len(s) == 1:
-                self.faces_down.append([])
-            else:
-                facets = [self.index[s[:i] + s[i + 1 :]] for i in range(len(s))]
-                self.faces_down.append(sorted(facets))
-        self.cofaces_up = [[] for _ in simplices]
-        for sid, facets in enumerate(self.faces_down):
+        # canonical order: by vertex tuple, then stably by dimension
+        self.simplices = sorted(simplices)
+        self.simplices.sort(key=len)
+        index = self.index = {s: i for i, s in enumerate(self.simplices)}
+        self.dim = len(self.simplices[-1]) - 1 if self.simplices else -1
+        # combinations drops vertex d, d-1, ..., 0: the facets come out ascending
+        facet_id = index.__getitem__
+        self.faces_codim1 = [
+            list(map(facet_id, combinations(s, len(s) - 1))) if len(s) > 1 else []
+            for s in self.simplices
+        ]
+
+    @cached_property
+    def cofaces_up(self):
+        """Per simplex, the ids of the simplices it is a facet of, ascending."""
+        cofaces = [[] for _ in self.simplices]
+        for sid, facets in enumerate(self.faces_codim1):
             for fid in facets:
-                self.cofaces_up[fid].append(sid)
+                cofaces[fid].append(sid)
+        return cofaces
 
     def __len__(self):
         return len(self.simplices)
 
     def simplex_dim(self, sid):
         return len(self.simplices[sid]) - 1
-
-    def faces_codim1(self, sid):
-        """Ids of the codimension-1 faces of a simplex, ascending."""
-        return self.faces_down[sid]
 
     def ids_of_dim(self, d):
         return [i for i, s in enumerate(self.simplices) if len(s) == d + 1]
@@ -60,7 +64,8 @@ class SimplicialComplex:
         return sum((-1) ** d * c for d, c in enumerate(self.counts_by_dim()))
 
     def maximal_simplices(self):
-        return [s for i, s in enumerate(self.simplices) if not self.cofaces_up[i]]
+        facets = {fid for ids in self.faces_codim1 for fid in ids}
+        return [s for sid, s in enumerate(self.simplices) if sid not in facets]
 
     def __repr__(self):
         return (
@@ -93,10 +98,8 @@ def build_complex(maximal_simplices, vertex_count=None):
         raise MalformedSimplexError(
             f"vertex count {vertex_count} too small for vertex id {max_vertex}"
         )
-    for v in range(vertex_count):
-        closure.add((v,))
-    simplices = sorted(closure, key=lambda s: (len(s), s))
-    return SimplicialComplex(vertex_count, simplices)
+    closure.update((v,) for v in range(vertex_count))
+    return SimplicialComplex(vertex_count, closure)
 
 
 def complexes_equal(a, b):
@@ -120,8 +123,8 @@ def subdivision_size(complex_):
 def barycentric_subdivision(complex_):
     """Subdivide: new vertices are simplices, new simplices are chains of faces.
 
-    New vertex ids equal the simplex ids of ``complex_`` (both follow
-    canonical order), so a chain is an ascending id tuple.  Raises
+    New vertex ids equal the simplex ids of ``complex_``, and a chain lists
+    them ascending (a face precedes its cofaces in canonical order).  Raises
     ComplexTooLargeError, before any chain is listed, when the subdivision
     would hold more than MAX_SIMPLICES simplices.
     """
@@ -132,7 +135,6 @@ def barycentric_subdivision(complex_):
         )
     index = complex_.index
     chains_at = []  # per simplex, the chains topped at it
-    by_length = [[] for _ in range(complex_.dim + 1)]
     for sid, simplex in enumerate(complex_.simplices):
         # the simplex alone, or over a chain topped at one of its proper faces
         chains = [(sid,)]
@@ -140,11 +142,7 @@ def barycentric_subdivision(complex_):
             for face in combinations(simplex, k):
                 chains.extend(chain + (sid,) for chain in chains_at[index[face]])
         chains_at.append(chains)
-        for chain in chains:
-            by_length[len(chain) - 1].append(chain)
-    return SimplicialComplex(
-        len(complex_), [chain for bucket in by_length for chain in sorted(bucket)]
-    )
+    return SimplicialComplex(len(complex_), [chain for chains in chains_at for chain in chains])
 
 
 def complex_to_doc(complex_):

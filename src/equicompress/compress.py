@@ -28,7 +28,7 @@ def compress(action):
     transfers = {}
     for y, lift in enumerate(lifts):
         stabilizers.append(action.stab(lift))
-        for z in action.complex.faces_codim1(lift):
+        for z in action.complex.faces_codim1[lift]:
             child = orbit_map[z]
             carrier = action.trans(z, lifts[child])
             if carrier is None:

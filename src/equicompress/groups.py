@@ -128,12 +128,26 @@ class Subgroup:
                 raise ValueError(f"element index {g} out of range")
             mask |= 1 << g
         self.mask = mask
-        for a in self.elements:
-            if not (mask >> group._inverse[a]) & 1:
-                raise ValueError("subgroup not closed under inversion")
-            for b in self.elements:
-                if not (mask >> group._mult[a][b]) & 1:
-                    raise ValueError("subgroup not closed under multiplication")
+        # Grow the subgroup the members generate, taking a member as a new
+        # generator whenever it is not reached yet; every element reached must
+        # be a member.  A finite set closed under products is a subgroup.
+        reached = bytearray(group.order)
+        reached[0] = 1
+        closure = [0]
+        generators = []
+        for g in self.elements:
+            if reached[g]:
+                continue
+            generators.append(g)
+            for a in closure:  # grows while walked
+                row = group._mult[a]
+                for s in generators:
+                    b = row[s]
+                    if not reached[b]:
+                        if not (mask >> b) & 1:
+                            raise ValueError("subgroup not closed under multiplication")
+                        reached[b] = 1
+                        closure.append(b)
 
     @cached_property
     def coset_reps(self):

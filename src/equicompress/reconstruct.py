@@ -13,8 +13,13 @@ from __future__ import annotations
 
 from .actions import GroupAction
 from .cog import validate_triple
-from .complexes import build_complex
-from .errors import BruteForceBoundError, ReconstructionIntegrityError, TripleValidationError
+from .complexes import MAX_SIMPLICES, SimplicialComplex
+from .errors import (
+    BruteForceBoundError,
+    ComplexTooLargeError,
+    ReconstructionIntegrityError,
+    TripleValidationError,
+)
 
 
 class ReconstructedComplex:
@@ -28,12 +33,21 @@ class ReconstructedComplex:
 
 
 def reconstruct(triple):
-    """Run the basic construction on a validated triple."""
+    """Run the basic construction on a validated triple.
+
+    Raises ComplexTooLargeError, before any label is listed, when the
+    reconstruction would hold more than ``MAX_SIMPLICES`` simplices.
+    """
     report = validate_triple(triple)
     if not report.valid:
         raise TripleValidationError(report)
 
     group, quotient = triple.group, triple.quotient
+    size = sum(group.order // len(s) for s in triple.stabilizers)  # one label per coset
+    if size > MAX_SIMPLICES:
+        raise ComplexTooLargeError(
+            f"reconstruction of {size} simplices exceeds the maximum {MAX_SIMPLICES}"
+        )
     # label -> strictly sorted tuple of vertex ids of the reconstruction
     vertex_sets = {}
 
@@ -47,7 +61,7 @@ def reconstruct(triple):
                 vertex_sets[label] = (len(vertex_sets),)
                 continue
             attached = []
-            for child in quotient.faces_codim1(y):
+            for child in quotient.faces_codim1[y]:
                 pulled = group.prod(g, group.inv(triple.transfer(y, child)))
                 attached.append((child, group.minrep(triple.stabilizers[child], pulled)))
             if len(attached) != d + 1 or len(set(attached)) != d + 1:
@@ -66,14 +80,12 @@ def reconstruct(triple):
 
     if len(set(vertex_sets.values())) != len(vertex_sets):
         raise ReconstructionIntegrityError("two labels span the same vertex set")
+    # closed: a d-label's d+1 facet labels span d+1 distinct d-subsets of its set
     n_vertices = sum(1 for vset in vertex_sets.values() if len(vset) == 1)
-    complex_ = build_complex(vertex_sets.values(), vertex_count=n_vertices)
-    if len(complex_) != len(vertex_sets):
-        raise ReconstructionIntegrityError(
-            "downward closure of labeled simplices produced unlabeled faces"
-        )
-    by_set = {vset: label for label, vset in vertex_sets.items()}
-    labels = [by_set[s] for s in complex_.simplices]
+    complex_ = SimplicialComplex(n_vertices, vertex_sets.values())
+    labels = [None] * len(complex_)
+    for label, vset in vertex_sets.items():
+        labels[complex_.index[vset]] = label
     return ReconstructedComplex(complex_, labels, triple)
 
 
@@ -111,7 +123,7 @@ def check_partial_order(rc, max_relations=10**4):
     def descend(y):
         if descendants[y] is None:
             out = {y}
-            for child in quotient.faces_codim1(y):
+            for child in quotient.faces_codim1[y]:
                 out.update(descend(child))
             descendants[y] = out
         return descendants[y]
@@ -123,7 +135,7 @@ def check_partial_order(rc, max_relations=10**4):
             return 0
         key = (y, target)
         if key not in path_transfer:
-            child = next(c for c in quotient.faces_codim1(y) if target in descend(c))
+            child = next(c for c in quotient.faces_codim1[y] if target in descend(c))
             path_transfer[key] = group.prod(transfer_along(child, target), triple.transfer(y, child))
         return path_transfer[key]
 

@@ -95,8 +95,8 @@ def verify_roundtrip(action, certificate, rc):
 
     counterexample = None
     for sid in range(len(rc)):
-        for fid in rc.complex.faces_codim1(sid):
-            if comparison[fid] not in action.complex.faces_codim1(comparison[sid]):
+        for fid in rc.complex.faces_codim1[sid]:
+            if comparison[fid] not in action.complex.faces_codim1[comparison[sid]]:
                 counterexample = {"simplex": sid, "face": fid}
                 break
         if counterexample:

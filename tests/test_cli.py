@@ -310,6 +310,28 @@ def test_table_budget_exits_2_before_allocating(tmp_path):
     assert "exceeds the maximum of 33554432 table entries" in result.stderr
 
 
+def test_oversized_reconstruction_exits_2_before_listing_labels(tmp_path):
+    # 2,048 isolated vertex classes with trivial stabilizers under C_4096: a
+    # small triple whose reconstruction has 2,048 x 4,096 vertices; listing
+    # them would end in a MemoryError in 1 GiB
+    n = 4096
+    doc = {
+        "group": {"order": n, "generators": [[(h + 1) % n for h in range(n)]]},
+        "quotient": {"vertices": 2048, "maximal_simplices": []},
+        "stabilizers": [[0]] * 2048,
+        "transfers": [],
+    }
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(doc, separators=(",", ":")))  # 27.7 KB
+    result = run_cli(["reconstruct", "--triple", str(path)])
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert (
+        "error: $.stabilizers: reconstruction of 8388608 simplices exceeds the maximum 262144"
+        in result.stderr
+    )
+
+
 def test_table_budget_of_an_induced_action_exits_2(tmp_path, monkeypatch, capsys):
     # the antipodal hexagon action has a 2 x 12 table, its subdivision 2 x 24
     monkeypatch.setattr(groups, "MAX_TABLE_ENTRIES", 24)
@@ -323,6 +345,15 @@ def test_table_budget_of_an_induced_action_exits_2(tmp_path, monkeypatch, capsys
 
 DEEP = b"[" * 100_000 + b"]" * 100_000
 NOT_UTF8 = b'{"group": {"generators": {}}, "\xff": 0}'
+# C_2 acting on a point, its stabilizer listing each element twice
+REPEATED_ELEMENTS = json.dumps(
+    {
+        "group": {"order": 2, "generators": [[1, 0]]},
+        "quotient": {"vertices": 1, "maximal_simplices": []},
+        "stabilizers": [[0, 0, 1, 1]],
+        "transfers": [],
+    }
+).encode()
 
 
 @pytest.mark.parametrize(
@@ -334,6 +365,7 @@ NOT_UTF8 = b'{"group": {"generators": {}}, "\xff": 0}'
         (["validate-triple", "--triple"], NOT_UTF8),
         (["check-regular", "--action"], DEEP),
         (["reconstruct", "--triple"], DEEP),
+        (["reconstruct", "--triple"], REPEATED_ELEMENTS),
         # C_4097 rotating a wheel: the closure passes the order cap
         (["bench", "--family", "simplex-rotation", "--orders", "4097"], None),
     ],
@@ -344,6 +376,7 @@ NOT_UTF8 = b'{"group": {"generators": {}}, "\xff": 0}'
         "triple-not-utf8",
         "action-deep",
         "triple-deep",
+        "triple-repeated-stabilizer-element",
         "bench-order-cap",
     ],
 )

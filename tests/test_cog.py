@@ -41,7 +41,7 @@ def test_path_independence_violation_is_caught():
     parent = next(
         y for y in range(len(triple.quotient)) if triple.quotient.simplex_dim(y) == 2
     )
-    child = triple.quotient.faces_codim1(parent)[0]
+    child = triple.quotient.faces_codim1[parent][0]
     original = triple.transfers[(parent, child)]
     triple.transfers[(parent, child)] = (original + 1) % action.group.order
     report = validate_triple(triple)
@@ -108,6 +108,12 @@ def test_triple_from_doc_structural_errors():
     bad["stabilizers"][0] = [1]  # no identity
     with pytest.raises(FormatError):
         triple_from_doc(bad)
+
+    bad = json.loads(json.dumps(doc))
+    bad["stabilizers"][0] = [0, 0, 1, 1]  # C_2 with each element listed twice
+    with pytest.raises(FormatError) as exc:
+        triple_from_doc(bad)
+    assert "$.stabilizers[0]" in str(exc.value)
 
     bad = json.loads(json.dumps(doc))
     bad["transfers"].append(bad["transfers"][-1])

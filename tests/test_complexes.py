@@ -1,6 +1,7 @@
 import pytest
 
 from equicompress import complexes
+from equicompress.actions import check_regularity, quotient
 from equicompress.complexes import (
     MAX_SIMPLICES,
     barycentric_subdivision,
@@ -16,9 +17,12 @@ from equicompress.families import (
     cycle_complex,
     irregular_fixtures,
     regular_fixtures,
+    subdivide_action,
     triangle_complex,
     wheel_complex,
 )
+
+from reference_complexes import reference_build_complex, reference_subdivision
 
 
 def test_downward_closure_and_canonical_order():
@@ -32,9 +36,9 @@ def test_downward_closure_and_canonical_order():
 def test_face_and_coface_tables():
     x = triangle_complex()
     top = x.index[(0, 1, 2)]
-    assert x.faces_codim1(top) == [x.index[(0, 1)], x.index[(0, 2)], x.index[(1, 2)]]
+    assert x.faces_codim1[top] == [x.index[(0, 1)], x.index[(0, 2)], x.index[(1, 2)]]
     assert x.cofaces_up[x.index[(0, 1)]] == [top]
-    assert x.faces_codim1(x.index[(0,)]) == []
+    assert x.faces_codim1[x.index[(0,)]] == []
 
 
 def test_malformed_simplices_rejected():
@@ -156,3 +160,33 @@ def test_subdivision_cap_is_checked_before_listing_chains(monkeypatch):
     # an admitted 11-simplex: sum over k of C(12, k) * Fubini(k) chains of faces
     with pytest.raises(ComplexTooLargeError, match="56183135189 simplices"):
         barycentric_subdivision(build_complex([list(range(12))]))
+
+
+def assert_matches_reference(x, ref, name):
+    assert complexes_equal(x, ref), name
+    assert x.faces_codim1 == ref.faces_down, name
+    assert x.cofaces_up == ref.cofaces_up, name
+    assert x.maximal_simplices() == ref.maximal_simplices(), name
+
+
+def test_constructor_matches_the_reference():
+    # the constructor numbers a closed set as the former closure-then-sort did
+    actions = dict(regular_fixtures())
+    actions.update((name, action) for name, (action, _) in irregular_fixtures().items())
+    quotients = 0
+    for name, action in actions.items():
+        x = action.complex
+        ref = reference_build_complex(x.simplices, x.vertex_count)
+        assert_matches_reference(x, ref, name)
+        for times in (1, 2):  # the admitted subdivisions, each built from a closed chain list
+            if subdivision_size(x) > MAX_SIMPLICES:
+                break
+            x, ref = barycentric_subdivision(x), reference_subdivision(ref)
+            assert_matches_reference(x, ref, f"{name}-sd{times}")
+        for regular in (action, subdivide_action(action)):
+            if check_regularity(regular).regular:
+                y, _ = quotient(regular)
+                keys = set(regular.orbit_keys)
+                assert_matches_reference(y, reference_build_complex(keys, y.vertex_count), name)
+                quotients += 1
+    assert quotients > len(regular_fixtures())

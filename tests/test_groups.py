@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +108,49 @@ def test_subgroup_validation():
     h = Subgroup(g, [0, 1, 2, 3])
     assert len(h) == 4
     assert 3 in h
+
+
+def brute_force_is_subgroup(g, members):
+    """The |H|^2 reference: a finite set holding the identity and closed under products."""
+    members = set(members)
+    return 0 in members and all(g.prod(a, b) in members for a in members for b in members)
+
+
+def subgroup_verdict(g, members):
+    try:
+        Subgroup(g, members)
+    except ValueError as exc:
+        assert "identity" in str(exc) or str(exc) == "subgroup not closed under multiplication"
+        return False
+    return True
+
+
+def test_subgroup_validation_matches_brute_force():
+    rng = random.Random(6)
+    c2_cubed = enumerate_from_generators([[v ^ (1 << i) for v in range(8)] for i in range(3)], 8)
+    c12 = enumerate_from_generators([shift(12, 1)], 12)
+    s4 = enumerate_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]], 4)
+    cases = []
+    # every subset of C_2^3, and every subset holding the identity of C_12 and D_6
+    cases += [(c2_cubed, s) for k in range(9) for s in combinations(range(8), k)]
+    for g in (c12, dihedral_6()):
+        cases += [(g, (0, *s)) for k in range(12) for s in combinations(range(1, 12), k)]
+    # S_4: subgroups generated by two elements, each with one element dropped or added
+    for _ in range(1000):
+        generators = rng.sample(range(24), 2)
+        members = [0]
+        for a in members:  # grows while walked
+            for s in generators:
+                if s4.prod(a, s) not in members:
+                    members.append(s4.prod(a, s))
+        members = set(members)
+        cases.append((s4, members))
+        cases.append((s4, members - {rng.choice(range(1, 24))}))
+        cases.append((s4, members | {rng.randrange(24)}))
+        cases.append((s4, {0, *rng.sample(range(1, 24), rng.randrange(1, 12))}))
+    verdicts = [subgroup_verdict(g, m) for g, m in cases]
+    assert verdicts == [brute_force_is_subgroup(g, m) for g, m in cases]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_max_order_guard():

@@ -1,0 +1,28 @@
+"""The runtime depends on the standard library alone."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "equicompress"
+
+
+def outside_imports(path):
+    """Top-level names of the absolute imports in a module that are not standard library."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue  # not an import, or a relative one
+        for module in modules:
+            if module.split(".")[0] not in sys.stdlib_module_names:
+                yield module
+
+
+def test_runtime_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    outside = {path.name: list(outside_imports(path)) for path in modules}
+    assert not any(outside.values()), outside

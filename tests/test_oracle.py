@@ -29,7 +29,7 @@ def oracle_reconstruct(triple):
 
     def covers(upper, lower):
         (y, c), (y2, c2) = upper, lower
-        if y2 not in quotient.faces_codim1(y):
+        if y2 not in quotient.faces_codim1[y]:
             return False
         t_inv = group.inv(triple.transfer(y, y2))
         return {group.prod(g, t_inv) for g in c} <= c2

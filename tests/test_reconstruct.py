@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from equicompress.actions import check_regularity
@@ -6,11 +9,12 @@ from equicompress.cog import CompressedTriple
 from equicompress.complexes import build_complex, complexes_equal
 from equicompress.compress import compress
 from equicompress.errors import (
+    EquicompressError,
     ReconstructionIntegrityError,
     TripleValidationError,
 )
 from equicompress.families import cycle_rotation_action, regular_fixtures
-from equicompress.groups import enumerate_from_generators
+from equicompress.groups import Subgroup, enumerate_from_generators
 from equicompress.reconstruct import (
     check_partial_order,
     reconstruct,
@@ -129,3 +133,64 @@ def test_face_relation_is_a_partial_order():
         triple, _ = compress(action)
         rc = reconstruct(triple)
         assert check_partial_order(rc), name
+
+
+def cyclic_subgroup(group, g):
+    members = [0]
+    while group.prod(members[-1], g) != 0:
+        members.append(group.prod(members[-1], g))
+    return Subgroup(group, members)
+
+
+def mutated(triple, rng):
+    """A copy of the triple with 1-3 transfers or stabilizers replaced."""
+    group = triple.group
+    stabilizers = list(triple.stabilizers)
+    transfers = dict(triple.transfers)
+    relations = sorted(transfers)
+    for _ in range(rng.randint(1, 3)):
+        if relations and rng.random() < 0.5:
+            transfers[rng.choice(relations)] = rng.randrange(group.order)
+        else:
+            stabilizers[rng.randrange(len(stabilizers))] = rng.choice(
+                [
+                    group.trivial_subgroup(),
+                    group.full_subgroup(),
+                    rng.choice(triple.stabilizers),
+                    cyclic_subgroup(group, rng.randrange(group.order)),
+                ]
+            )
+    return CompressedTriple(group, triple.quotient, stabilizers, transfers)
+
+
+def test_mutated_triples_are_refused_or_reconstruct_closed():
+    # reconstruct does not close its vertex sets downward: a corrupt triple must
+    # be refused with an EquicompressError or still give a closed, fully
+    # labelled complex; any other exception fails the test
+    rng = random.Random(6)
+    outcomes = Counter()
+    for name, action in regular_fixtures().items():
+        triple, _ = compress(action)
+        for _ in range(320):
+            bad = mutated(triple, rng)
+            try:
+                rc = reconstruct(bad)
+            except EquicompressError:
+                outcomes["refused"] += 1
+                continue
+            x = rc.complex
+            present = set(x.simplices)
+            assert {(v,) for v in range(x.vertex_count)} <= present, name
+            assert all(
+                s[:i] + s[i + 1 :] in present
+                for s in x.simplices
+                if len(s) > 1
+                for i in range(len(s))
+            ), name
+            assert len(set(rc.labels)) == len(rc.labels) == len(x), name
+            assert all(
+                bad.quotient.simplex_dim(y) == x.simplex_dim(sid)
+                for sid, (y, _) in enumerate(rc.labels)
+            ), name
+            outcomes["closed"] += 1
+    assert outcomes["refused"] > 0 and outcomes["closed"] > 0, outcomes
