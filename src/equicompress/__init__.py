@@ -17,7 +17,6 @@ from .actions import (
 )
 from .cog import (
     CompressedTriple,
-    CompressionCertificate,
     ValidationReport,
     triple_from_doc,
     triple_to_doc,
@@ -54,7 +53,6 @@ __all__ = [
     "BruteForceBoundError",
     "ComplexTooLargeError",
     "CompressedTriple",
-    "CompressionCertificate",
     "EquicompressError",
     "EquivarianceReport",
     "FiniteGroup",

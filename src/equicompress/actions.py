@@ -186,13 +186,10 @@ def check_regularity(action):
         for v in complex_.simplices[repeat]:
             if ids[v] in seen:
                 u = seen[ids[v]]
-                carrier = next(
-                    g for g in range(action.group.order) if action.act_on_simplex(g, u) == v
-                )
                 return RegularityReport(
                     False,
                     DISTINCT_VERTEX_ORBITS,
-                    {"simplex": repeat, "vertices": [u, v], "element": carrier},
+                    {"simplex": repeat, "vertices": [u, v], "element": action.trans(u, v)},
                 )
             seen[ids[v]] = v
 
@@ -200,12 +197,13 @@ def check_regularity(action):
 
 
 def quotient(action):
-    """Quotient complex plus the orbit map, for a regular action.
+    """Quotient complex, orbit map and lifts, for a regular action.
 
-    Returns (Y, p) where p maps each simplex id of the acted-on complex to
-    its orbit class id in Y.  Vertex classes are numbered by their minimal
-    member; higher simplices follow canonical order of their class tuples.
-    Under (3) a facet's key is its simplex's key less one class: the keys are closed.
+    Returns (Y, p, lifts) where p maps each simplex id of the acted-on complex
+    to its orbit class id in Y, and lifts[y] is the minimal member of class y.
+    Vertex classes are numbered by their minimal member; higher simplices
+    follow canonical order of their class tuples.  Under (3) a facet's key is
+    its simplex's key less one class: the keys are closed.
     """
     report = check_regularity(action)
     if not report.regular:
@@ -215,7 +213,11 @@ def quotient(action):
     keys = action.orbit_keys
     quotient_complex = SimplicialComplex(n_classes, set(keys))
     p = [quotient_complex.index[key] for key in keys]
-    return quotient_complex, p
+    lifts = [None] * len(quotient_complex)
+    for x, y in enumerate(p):
+        if lifts[y] is None:
+            lifts[y] = x
+    return quotient_complex, p, lifts
 
 
 def induced_action_on_subdivision(action):

@@ -104,7 +104,7 @@ def cmd_subdivide(args):
 def cmd_quotient(args):
     action = _load_action(args.complex, args.action)
     try:
-        quotient_complex, orbit_map = quotient(action)
+        quotient_complex, orbit_map, _ = quotient(action)
     except RegularityViolationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
@@ -115,7 +115,7 @@ def cmd_quotient(args):
 def cmd_compress(args):
     action = _load_action(args.complex, args.action)
     try:
-        triple, _ = compress(action)
+        triple = compress(action)
     except RegularityViolationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
@@ -154,7 +154,7 @@ def cmd_reconstruct(args):
 def cmd_roundtrip(args):
     action = _load_action(args.complex, args.action)
     try:
-        triple, certificate = compress(action)
+        triple = compress(action)
     except RegularityViolationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
@@ -163,7 +163,7 @@ def cmd_roundtrip(args):
     except TripleValidationError as exc:
         _dump(exc.report.to_doc(), args.out)
         return EXIT_MATH
-    report = verify_roundtrip(action, certificate, rc)
+    report = verify_roundtrip(action, rc)
     _dump(report.to_doc(), args.out)
     return EXIT_OK if report.passed else EXIT_MATH
 

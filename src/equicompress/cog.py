@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import complex_from_doc, complex_to_doc
+from .actions import quotient
+from .complexes import complex_from_doc, complex_to_doc, complexes_equal
 from .errors import FormatError
 from .groups import Subgroup, group_from_doc, group_to_doc
 
@@ -24,12 +25,6 @@ class CompressedTriple:
 
     def transfer(self, parent, child):
         return self.transfers[(parent, child)]
-
-
-@dataclass
-class CompressionCertificate:
-    orbit_map: list  # source simplex id -> quotient simplex id
-    lifts: list  # quotient simplex id -> source simplex id
 
 
 @dataclass
@@ -98,34 +93,32 @@ def validate_triple(triple):
     return ValidationReport(not violations, violations)
 
 
-def validate_against_action(triple, certificate, action):
-    """Check that stabilizers and transfers really describe the action."""
-    violations = []
-    quotient = triple.quotient
-    if triple.group is not action.group and triple.group != action.group:
-        violations.append("triple and action use different groups")
-        return ValidationReport(False, violations)
-    if len(certificate.orbit_map) != len(action.complex) or len(certificate.lifts) != len(quotient):
-        violations.append("certificate does not match the complexes")
-        return ValidationReport(False, violations)
+def validate_against_action(triple, action):
+    """Check that stabilizers and transfers really describe the action.
 
-    for y, lift in enumerate(certificate.lifts):
-        if certificate.orbit_map[lift] != y:
-            violations.append(f"lift of class {y} projects to {certificate.orbit_map[lift]}")
+    The quotient, orbit map and lifts are recomputed from the action; a triple
+    over any other quotient is reported as one violation.  Raises
+    RegularityViolationError for an irregular action.
+    """
+    if triple.group is not action.group and triple.group != action.group:
+        return ValidationReport(False, ["triple and action use different groups"])
+    quotient_complex, orbit_map, lifts = quotient(action)
+    if not complexes_equal(quotient_complex, triple.quotient):
+        return ValidationReport(False, ["triple's quotient is not the action's quotient"])
+
+    violations = []
+    for y, lift in enumerate(lifts):
         if action.stab(lift) != triple.stabilizers[y]:
             violations.append(f"stabilizer of class {y} differs from the lift's stabilizer")
 
     for (parent, child), g in sorted(triple.transfers.items()):
-        lift = certificate.lifts[parent]
-        matching = [
-            z for z in action.complex.faces_codim1[lift] if certificate.orbit_map[z] == child
-        ]
+        matching = [z for z in action.complex.faces_codim1[lifts[parent]] if orbit_map[z] == child]
         if len(matching) != 1:
             violations.append(
                 f"lift of class {parent} has {len(matching)} faces over class {child}"
             )
             continue
-        if action.act_on_simplex(g, matching[0]) != certificate.lifts[child]:
+        if action.act_on_simplex(g, matching[0]) != lifts[child]:
             violations.append(
                 f"transfer of {parent} >= {child} does not carry the matching face "
                 f"onto the child lift"

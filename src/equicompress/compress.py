@@ -2,27 +2,21 @@
 
 Orbit classes are processed in canonical order: each class records the
 stabilizer of its lift and one transfer per codimension-1 face of the lift.
+The lifts are the ones ``quotient`` returns, the minimal member of each class.
 """
 
 from __future__ import annotations
 
 from .actions import quotient
-from .cog import CompressedTriple, CompressionCertificate
+from .cog import CompressedTriple
 
 
 def compress(action):
-    """Run the compression algorithm.
+    """Run the compression algorithm and return the CompressedTriple.
 
-    Each class is lifted to its minimal member, the member by which
-    ``GroupAction.orbit_ids`` numbers the orbit.  Returns
-    (CompressedTriple, CompressionCertificate).  Raises
-    RegularityViolationError (carrying the report) for irregular actions.
+    Raises RegularityViolationError (carrying the report) for irregular actions.
     """
-    quotient_complex, orbit_map = quotient(action)  # raises on irregular actions
-    lifts = [None] * len(quotient_complex)
-    for x, y in enumerate(orbit_map):
-        if lifts[y] is None:
-            lifts[y] = x
+    quotient_complex, orbit_map, lifts = quotient(action)  # raises on irregular actions
 
     stabilizers = []
     transfers = {}
@@ -37,11 +31,14 @@ def compress(action):
                 )
             transfers[(y, child)] = carrier
 
-    triple = CompressedTriple(action.group, quotient_complex, stabilizers, transfers)
-    certificate = CompressionCertificate(orbit_map, lifts)
-    return triple, certificate
+    return CompressedTriple(action.group, quotient_complex, stabilizers, transfers)
 
 
 def compression_ratio(action, triple):
-    """Simplex count of the input over simplex count of the quotient."""
+    """Simplex count of the input over simplex count of the quotient.
+
+    The empty complex, like the trivial action, compresses at ratio 1.0.
+    """
+    if not len(triple.quotient):
+        return 1.0
     return len(action.complex) / len(triple.quotient)

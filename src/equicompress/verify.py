@@ -1,8 +1,13 @@
 """Roundtrip verification and brute-force equivariant isomorphism search.
 
-The primary verifier builds the canonical comparison map s(y, g) = g * lift(y)
-from a reconstruction back to the original complex and checks, exhaustively,
+The primary verifier reads only the action and the reconstruction.  It builds
+the canonical comparison map s(y, g) = g * lift(y) from the reconstruction
+back to the original complex, with the lifts ``quotient`` returns, and checks
 that it is a well-defined equivariant simplicial bijection preserving fibers.
+Well-definedness is checked on the stabilizer elements and equivariance on
+the generators, which is exhaustive: g and minrep(S(y), g) differ by an
+element of S(y), and a map between two G-actions that commutes with a
+generating set commutes with G.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .actions import quotient
+from .complexes import complexes_equal
 from .errors import BruteForceBoundError, InputMismatchError
 from .reconstruct import recovered_action
 
@@ -38,29 +44,31 @@ class EquivarianceReport:
         }
 
 
-def verify_roundtrip(action, certificate, rc):
-    """Exhaustively verify that a reconstruction matches the original action."""
+def verify_roundtrip(action, rc):
+    """Verify that a reconstruction matches the original action.
+
+    The reconstruction's action is read from its labels:
+    h * (y, g) = (y, minrep(S(y), h * g)).  Raises InputMismatchError when the
+    reconstruction is over another group or another quotient, and
+    RegularityViolationError for an irregular action.
+    """
     triple = rc.triple
     if triple.group is not action.group and triple.group != action.group:
         raise InputMismatchError("reconstruction and action use different groups")
-    if len(certificate.orbit_map) != len(action.complex):
-        raise InputMismatchError("certificate does not match the action's complex")
+    expected, orbit_map, lifts = quotient(action)
+    if not complexes_equal(expected, triple.quotient):
+        raise InputMismatchError("reconstruction's quotient is not the action's quotient")
 
     group = triple.group
     properties = {}
 
-    comparison = [
-        action.act_on_simplex(g, certificate.lifts[y]) for (y, g) in rc.labels
-    ]
+    comparison = [action.act_on_simplex(g, lifts[y]) for (y, g) in rc.labels]
 
     counterexample = None
-    for y, lift in enumerate(certificate.lifts):
-        stabilizer = triple.stabilizers[y]
-        for g in range(group.order):
-            if action.act_on_simplex(g, lift) != action.act_on_simplex(
-                group.minrep(stabilizer, g), lift
-            ):
-                counterexample = {"class": y, "element": g}
+    for y, lift in enumerate(lifts):
+        for s in triple.stabilizers[y].elements:
+            if action.act_on_simplex(s, lift) != lift:
+                counterexample = {"class": y, "element": s}
                 break
         if counterexample:
             break
@@ -81,11 +89,11 @@ def verify_roundtrip(action, certificate, rc):
         {"uncovered": missing[:5]} if missing else None,
     )
 
-    action_on_rc = recovered_action(rc)
+    sid_of = {label: sid for sid, label in enumerate(rc.labels)}
     counterexample = None
-    for sid in range(len(rc)):
-        for h in range(group.order):
-            moved = action_on_rc.act_on_simplex(h, sid)
+    for sid, (y, g) in enumerate(rc.labels):
+        for h in group.generators:
+            moved = sid_of[(y, group.minrep(triple.stabilizers[y], group.prod(h, g)))]
             if comparison[moved] != action.act_on_simplex(h, comparison[sid]):
                 counterexample = {"simplex": sid, "element": h}
                 break
@@ -105,7 +113,7 @@ def verify_roundtrip(action, certificate, rc):
 
     counterexample = None
     for sid, (y, _) in enumerate(rc.labels):
-        if certificate.orbit_map[comparison[sid]] != y:
+        if orbit_map[comparison[sid]] != y:
             counterexample = {"simplex": sid, "class": y}
             break
     properties["fiber-preserving"] = (counterexample is None, counterexample)
@@ -200,36 +208,13 @@ def find_equivariant_isomorphism(action_a, action_b, bound=300):
 
 
 def verify_quotient_identity(rc, expected_quotient):
-    """Whether the recovered action's quotient is the stored quotient.
+    """Whether the recovered action's quotient is the stored quotient, exactly.
 
-    The recovered action is quotiented from scratch; its orbit classes are
-    relabeled through the label projection (y, g) -> y before comparison.
+    Reconstruction numbers vertices fiber by fiber in class order, so the
+    recovered action's classes carry the stored numbering and each simplex
+    lies in the class of its label.
     """
-    action = recovered_action(rc)
-    computed, orbit_map = quotient(action)
-    if len(computed) != len(expected_quotient):
-        return False
-    # class of the computed quotient -> the label class of its fiber
-    relabel = {}
-    for sid, (y, _) in enumerate(rc.labels):
-        c = orbit_map[sid]
-        if relabel.setdefault(c, y) != y:
-            return False
-    if sorted(relabel) != list(range(len(computed))) or sorted(
-        relabel.values()
-    ) != list(range(len(expected_quotient))):
-        return False
-    # vertex class -> vertex of the stored quotient, through singleton labels
-    vertex_relabel = {}
-    for cid, y in relabel.items():
-        simplex = computed.simplices[cid]
-        if len(simplex) == 1:
-            target = expected_quotient.simplices[y]
-            if len(target) != 1:
-                return False
-            vertex_relabel[simplex[0]] = target[0]
-    mapped = {
-        tuple(sorted(vertex_relabel[v] for v in simplex))
-        for simplex in computed.simplices
-    }
-    return mapped == set(expected_quotient.simplices)
+    computed, orbit_map, _ = quotient(recovered_action(rc))
+    return complexes_equal(computed, expected_quotient) and all(
+        orbit_map[sid] == y for sid, (y, _) in enumerate(rc.labels)
+    )

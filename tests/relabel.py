@@ -1,15 +1,14 @@
 """Test helper: rename the vertices of an action to move its canonical lifts.
 
-``compress`` lifts every orbit class to its minimal member in canonical
+``quotient`` lifts every orbit class to its minimal member in canonical
 order.  Renaming vertex v to n-1-v reverses that order on the vertices, so
 the copy's lifts, read back in the original, are other members of almost
 every class.  Comparing the two compressions tests that the reconstruction
 does not depend on the choice of lifts.
 """
 
-from equicompress.actions import GroupAction
+from equicompress.actions import GroupAction, quotient
 from equicompress.complexes import build_complex
-from equicompress.compress import compress
 
 
 def relabelled(action):
@@ -34,5 +33,5 @@ def relabelled(action):
 
 def moved_lifts(action, copy, to_copy):
     """Number of classes whose lift in ``copy`` is not the renamed lift in ``action``."""
-    copy_lifts = set(compress(copy)[1].lifts)
-    return sum(1 for lift in compress(action)[1].lifts if to_copy[lift] not in copy_lifts)
+    copy_lifts = set(quotient(copy)[2])
+    return sum(1 for lift in quotient(action)[2] if to_copy[lift] not in copy_lifts)

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 import equicompress
-from equicompress.actions import action_to_doc, check_regularity
+from equicompress.actions import action_to_doc, check_regularity, quotient
 from equicompress.bench import (
     COMPRESS_EXPONENT_BOUND,
     EXPONENT_SLACK,
@@ -62,9 +62,8 @@ FIXTURES = regular_fixtures()
 def test_criterion_1_roundtrip():
     start = time.perf_counter()
     for name, action in FIXTURES.items():
-        triple, certificate = compress(action)
-        rc = reconstruct(triple)
-        report = verify_roundtrip(action, certificate, rc)
+        rc = reconstruct(compress(action))
+        report = verify_roundtrip(action, rc)
         assert report.passed, (name, report.to_doc())
         assert all(ok for ok, _ in report.properties.values()), name
     elapsed = time.perf_counter() - start
@@ -74,11 +73,12 @@ def test_criterion_1_roundtrip():
 @criterion(2, "orbit-stabilizer accounting is exact on every fixture")
 def test_criterion_2_accounting():
     for name, action in FIXTURES.items():
-        triple, certificate = compress(action)
+        triple = compress(action)
+        _, orbit_map, _ = quotient(action)
         k = action.group.order
         assert sum(k // len(s) for s in triple.stabilizers) == len(action.complex), name
         fibers = [0] * len(triple.quotient)
-        for y in certificate.orbit_map:
+        for y in orbit_map:
             fibers[y] += 1
         for y, stab in enumerate(triple.stabilizers):
             assert fibers[y] == k // len(stab), name
@@ -87,7 +87,7 @@ def test_criterion_2_accounting():
 @criterion(3, "every compressed triple passes algebraic validation")
 def test_criterion_3_validity():
     for name, action in FIXTURES.items():
-        triple, _ = compress(action)
+        triple = compress(action)
         report = validate_triple(triple)
         assert report.valid, (name, report.violations)
 
@@ -114,8 +114,8 @@ def test_criterion_5_choice_independence():
         copy, to_copy = relabelled(action)
         if action.group.order > 1:
             assert moved_lifts(action, copy, to_copy) >= 1, name
-        rc = reconstruct(compress(action)[0])
-        rc_copy = reconstruct(compress(copy)[0])
+        rc = reconstruct(compress(action))
+        rc_copy = reconstruct(compress(copy))
         vmap = find_equivariant_isomorphism(recovered_action(rc), recovered_action(rc_copy))
         assert vmap is not None, name
 
@@ -174,7 +174,7 @@ def test_criterion_7_complexity():
     for name, action in FIXTURES.items():
         # one trans per facet of each lift; one minrep per facet of each
         # reconstructed simplex
-        (triple, _), compress_counts = counted(action, lambda: compress(action))
+        triple, compress_counts = counted(action, lambda: compress(action))
         dims = [triple.quotient.simplex_dim(y) for y in range(len(triple.quotient))]
         assert compress_counts["trans"] == sum(d + 1 for d in dims if d >= 1), name
         _, reconstruct_counts = counted(action, lambda: reconstruct(triple))
@@ -196,7 +196,7 @@ def test_criterion_8_oracle():
 
     checked = 0
     for name, action in micro_fixtures():
-        triple, _ = compress(action)
+        triple = compress(action)
         rc = reconstruct(triple)
         assert complexes_equal(oracle_reconstruct(triple), rc.complex), name
         checked += 1

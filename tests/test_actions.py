@@ -136,7 +136,7 @@ def test_second_subdivision_regularizes():
 
 def test_quotient_of_antipodal_hexagon_is_triangle():
     action = hexagon_antipodal_action()
-    y, p = quotient(action)
+    y, p, _ = quotient(action)
     assert y.counts_by_dim() == [3, 3]
     assert len(p) == len(action.complex)
     # fibers have size [G : stab] = 2 everywhere (free action)
@@ -146,7 +146,7 @@ def test_quotient_of_antipodal_hexagon_is_triangle():
 
 def test_quotient_orbit_map_is_constant_on_orbits():
     action = regular_fixtures()["cycle-3"]
-    _, p = quotient(action)
+    _, p, _ = quotient(action)
     for sid in range(len(action.complex)):
         for g in range(action.group.order):
             assert p[action.act_on_simplex(g, sid)] == p[sid]
@@ -160,7 +160,7 @@ def test_quotient_raises_on_irregular():
 
 def test_quotient_of_trivial_action_is_identity():
     action = trivial_action(bowtie_complex())
-    y, p = quotient(action)
+    y, p, _ = quotient(action)
     assert y.simplices == action.complex.simplices
     assert p == list(range(len(y)))
 
@@ -307,7 +307,7 @@ def test_regularity_and_quotient_match_the_reference():
         assert report.to_doc() == _reference_check_regularity(action).to_doc(), name
         outcomes.add(report.condition)
         if report.regular:
-            y, p = quotient(action)
+            y, p, _ = quotient(action)
             ref_y, ref_p = _reference_quotient(action)
             assert (y.vertex_count, y.simplices, p) == (
                 ref_y.vertex_count,

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import resource
@@ -6,11 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equicompress
 from equicompress import groups
-from equicompress.actions import action_to_doc
+from equicompress.actions import action_to_doc, quotient
 from equicompress.cli import main
+from equicompress.cog import triple_to_doc
 from equicompress.complexes import build_complex, complex_to_doc, subdivision_size
 from equicompress.compress import compress
 from equicompress.families import (
@@ -119,6 +123,21 @@ def test_closed_complexes_are_not_capped_as_documents(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+def test_empty_complex_compresses_and_reconstructs(tmp_path, capsys):
+    action_path = write(
+        tmp_path,
+        "empty.json",
+        {"complex": {"vertices": 0, "maximal_simplices": []}, "group": {"generators": {}}},
+    )
+    triple_path = str(tmp_path / "triple.json")
+    assert main(["compress", "--action", action_path, "--out", triple_path]) == 0
+    assert "ratio 1.000" in capsys.readouterr().err
+    rec_path = str(tmp_path / "rec.json")
+    assert main(["reconstruct", "--triple", triple_path, "--out", rec_path]) == 0
+    rec = json.loads(Path(rec_path).read_text())
+    assert rec == {"complex": {"vertices": 0, "maximal_simplices": []}, "labels": []}
+
+
 def test_triple_with_a_certificate_still_parses(tmp_path, capsys):
     # triples once carried the orbit map and the lifts as "certificate"; a
     # triple in that format parses, the key is ignored, and it rebuilds the same
@@ -128,8 +147,8 @@ def test_triple_with_a_certificate_still_parses(tmp_path, capsys):
     assert main(["compress", "--action", action_path, "--out", triple_path]) == 0
     doc = json.loads(Path(triple_path).read_text())
     assert sorted(doc) == ["group", "quotient", "stabilizers", "transfers"]
-    _, certificate = compress(action)
-    doc["certificate"] = {"p": certificate.orbit_map, "lift": certificate.lifts}
+    _, orbit_map, lifts = quotient(action)
+    doc["certificate"] = {"p": orbit_map, "lift": lifts}
     old_path = write(tmp_path, "old.json", doc)
     assert main(["validate-triple", "--triple", old_path]) == 0
     rebuilt = {}
@@ -389,3 +408,67 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, content):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
+
+
+# Any JSON value a mutation can put in place of a field.  Integers stay small or
+# lie past every cap, so a mutant never asks for a valid but large computation.
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1, 3),
+    st.integers(-2, 40),
+    st.sampled_from([2**18 + 1, 2**40, 1.0, 0.5]),
+    st.text(max_size=3),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mutate(data, doc):
+    """Replace, drop or add one field at a random depth of a JSON document."""
+    parent, key = None, None
+    node = doc
+    for _ in range(data.draw(st.integers(0, 4))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = node[key]
+    value = data.draw(_JSON_VALUES)
+    operation = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if parent is None:
+        return value if operation == "replace" else doc
+    if operation == "replace":
+        parent[key] = value
+    elif operation == "drop":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent[data.draw(st.text(max_size=3))] = value
+    else:
+        parent.append(value)
+    return doc
+
+
+_FUZZ_ACTION = action_to_doc(hexagon_antipodal_action())
+_FUZZ_TRIPLE = triple_to_doc(compress(hexagon_antipodal_action()))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_exit_cleanly(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("fuzz")
+    for base, commands in (
+        (_FUZZ_ACTION, [["check-regular", "--action"], ["compress", "--action"]]),
+        (_FUZZ_TRIPLE, [["validate-triple", "--triple"], ["reconstruct", "--triple"]]),
+    ):
+        doc = copy.deepcopy(base)
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(data, doc)
+        path = write(directory, "doc.json", doc)
+        for command in commands:
+            out = str(directory / "out.json")
+            assert main([*command, path, "--out", out]) in (0, 1, 2), (command, doc)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from equicompress.actions import GroupAction
 from equicompress.cog import (
     triple_from_doc,
     triple_to_doc,
@@ -10,31 +11,38 @@ from equicompress.cog import (
 )
 from equicompress.compress import compress
 from equicompress.errors import FormatError
-from equicompress.families import hexagon_antipodal_action, regular_fixtures
+from equicompress.families import cycle_complex, hexagon_antipodal_action, regular_fixtures
 from equicompress.groups import Subgroup
 
 
 def test_validate_passes_on_compress_output():
     for name, action in regular_fixtures().items():
-        triple, certificate = compress(action)
+        triple = compress(action)
         assert validate_triple(triple).valid, name
-        assert validate_against_action(triple, certificate, action).valid, name
+        assert validate_against_action(triple, action).valid, name
 
 
 def test_corrupted_transfer_is_caught():
     action = regular_fixtures()["cycle-3"]
-    triple, certificate = compress(action)
+    triple = compress(action)
     (parent, child) = next(
         (p, c) for (p, c), g in triple.transfers.items() if g == 0
     )
     triple.transfers[(parent, child)] = 1
-    report = validate_against_action(triple, certificate, action)
+    report = validate_against_action(triple, action)
     assert not report.valid
+
+
+def test_triple_over_another_quotient_is_reported():
+    # same group as the hexagon's, acting on an 8-cycle: its quotient is a square
+    square = GroupAction.from_generator_perms([[4, 5, 6, 7, 0, 1, 2, 3]], cycle_complex(8))
+    report = validate_against_action(compress(hexagon_antipodal_action()), square)
+    assert report.violations == ["triple's quotient is not the action's quotient"]
 
 
 def test_path_independence_violation_is_caught():
     action = regular_fixtures()["c3-triangle-sd2"]
-    triple, _ = compress(action)
+    triple = compress(action)
     assert validate_triple(triple).valid
     # perturb one transfer under a triangle class; some length-2 path pair
     # through it must now disagree
@@ -51,14 +59,14 @@ def test_path_independence_violation_is_caught():
 
 def test_missing_and_extra_transfers():
     action = hexagon_antipodal_action()
-    triple, _ = compress(action)
+    triple = compress(action)
     key = next(iter(triple.transfers))
     del triple.transfers[key]
     report = validate_triple(triple)
     assert not report.valid
     assert any("missing" in v for v in report.violations)
 
-    triple2, _ = compress(action)
+    triple2 = compress(action)
     triple2.transfers[(0, 1)] = 0  # vertices have no faces
     report2 = validate_triple(triple2)
     assert any("non-face" in v for v in report2.violations)
@@ -66,7 +74,7 @@ def test_missing_and_extra_transfers():
 
 def test_conjugation_violation():
     action = regular_fixtures()["klein-bowtie-sd2"]
-    triple, _ = compress(action)
+    triple = compress(action)
     # replace a stabilizer by a different subgroup of the same order
     y = next(i for i, s in enumerate(triple.stabilizers) if len(s) == 2)
     group = triple.group
@@ -81,7 +89,7 @@ def test_conjugation_violation():
 
 def test_doc_roundtrip_is_byte_stable():
     action = regular_fixtures()["dihedral-3"]
-    triple, _ = compress(action)
+    triple = compress(action)
     doc = triple_to_doc(triple)
     assert sorted(doc) == ["group", "quotient", "stabilizers", "transfers"]
     text = json.dumps(doc, sort_keys=True, indent=2)
@@ -96,7 +104,7 @@ def test_doc_roundtrip_is_byte_stable():
 
 def test_triple_from_doc_structural_errors():
     action = hexagon_antipodal_action()
-    doc = triple_to_doc(compress(action)[0])
+    doc = triple_to_doc(compress(action))
 
     bad = json.loads(json.dumps(doc))
     bad["stabilizers"] = bad["stabilizers"][:-1]

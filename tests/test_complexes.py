@@ -185,7 +185,7 @@ def test_constructor_matches_the_reference():
             assert_matches_reference(x, ref, f"{name}-sd{times}")
         for regular in (action, subdivide_action(action)):
             if check_regularity(regular).regular:
-                y, _ = quotient(regular)
+                y, _, _ = quotient(regular)
                 keys = set(regular.orbit_keys)
                 assert_matches_reference(y, reference_build_complex(keys, y.vertex_count), name)
                 quotients += 1

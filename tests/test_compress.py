@@ -1,5 +1,6 @@
 import pytest
 
+from equicompress.actions import quotient
 from equicompress.bench import counted
 from equicompress.cog import validate_against_action, validate_triple
 from equicompress.compress import compress, compression_ratio
@@ -16,20 +17,21 @@ def test_rejects_irregular_action():
 
 def test_orbit_stabilizer_accounting():
     for name, action in regular_fixtures().items():
-        triple, certificate = compress(action)
+        triple = compress(action)
+        _, orbit_map, _ = quotient(action)
         k = action.group.order
         total = sum(k // len(s) for s in triple.stabilizers)
         assert total == len(action.complex), name
         for y in range(len(triple.quotient)):
-            fiber = [x for x, cls in enumerate(certificate.orbit_map) if cls == y]
+            fiber = [x for x, cls in enumerate(orbit_map) if cls == y]
             assert len(fiber) == k // len(triple.stabilizers[y]), name
 
 
 def test_lex_min_lift_is_first_fiber_member():
     action = regular_fixtures()["cycle-4"]
-    triple, certificate = compress(action)
-    for y, lift in enumerate(certificate.lifts):
-        fiber = [x for x, cls in enumerate(certificate.orbit_map) if cls == y]
+    _, orbit_map, lifts = quotient(action)
+    for y, lift in enumerate(lifts):
+        fiber = [x for x, cls in enumerate(orbit_map) if cls == y]
         assert lift == fiber[0]
 
 
@@ -40,23 +42,23 @@ def test_all_policies_produce_valid_triples():
         copy, to_copy = relabelled(action)
         assert moved_lifts(action, copy, to_copy) >= 1, name
         for acted in (action, copy):
-            triple, certificate = compress(acted)
+            triple = compress(acted)
             assert validate_triple(triple).valid, name
-            assert validate_against_action(triple, certificate, acted).valid, name
+            assert validate_against_action(triple, acted).valid, name
 
 
 def test_trans_call_budget():
     # one transporter search per facet of each orbit representative, so at
     # most n+1 per representative; vertices have no facets
     for name, action in regular_fixtures().items():
-        (triple, _), counts = counted(action, lambda: compress(action))
+        triple, counts = counted(action, lambda: compress(action))
         dims = [triple.quotient.simplex_dim(y) for y in range(len(triple.quotient))]
         assert counts["trans"] == sum(d + 1 for d in dims if d >= 1), name
 
 
 def test_compression_ratio():
     action = regular_fixtures()["cycle-6"]
-    triple, _ = compress(action)
+    triple = compress(action)
     assert len(action.complex) == 48
     assert len(triple.quotient) == 8
     assert compression_ratio(action, triple) == 6.0
@@ -64,5 +66,5 @@ def test_compression_ratio():
 
 def test_trivial_action_ratio_is_one():
     action = regular_fixtures()["trivial-triangle"]
-    triple, _ = compress(action)
+    triple = compress(action)
     assert compression_ratio(action, triple) == 1.0

@@ -68,7 +68,7 @@ def test_micro_fixture_set_is_nonempty():
 
 def test_oracle_matches_engine_on_micro_fixtures():
     for name, action in micro_fixtures():
-        triple, _ = compress(action)
+        triple = compress(action)
         rc = reconstruct(triple)
         oracle = oracle_reconstruct(triple)
         assert complexes_equal(oracle, rc.complex), name
@@ -79,6 +79,6 @@ def test_oracle_matches_engine_under_moved_lifts():
         copy, to_copy = relabelled(action)
         if action.group.order > 1:
             assert moved_lifts(action, copy, to_copy) >= 1, name
-        triple, _ = compress(copy)
+        triple = compress(copy)
         rc = reconstruct(triple)
         assert complexes_equal(oracle_reconstruct(triple), rc.complex), name

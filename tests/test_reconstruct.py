@@ -57,7 +57,7 @@ def test_free_edge_orbit():
 
 def test_roundtrip_shape_on_24_cycle():
     action = cycle_rotation_action(6)
-    triple, _ = compress(action)
+    triple = compress(action)
     rc = reconstruct(triple)
     assert complexes_equal(rc.complex, action.complex) or (
         rc.complex.counts_by_dim() == action.complex.counts_by_dim()
@@ -67,7 +67,7 @@ def test_roundtrip_shape_on_24_cycle():
 
 def test_labels_cover_cosets():
     for name, action in regular_fixtures().items():
-        triple, _ = compress(action)
+        triple = compress(action)
         rc = reconstruct(triple)
         k = action.group.order
         for y, stab in enumerate(triple.stabilizers):
@@ -81,7 +81,7 @@ def test_minrep_call_count_is_exact():
     # one minrep per facet of each reconstructed simplex:
     # sum_{dim y >= 1} [G:S(y)]*(dim y + 1)
     for name, action in regular_fixtures().items():
-        triple, _ = compress(action)
+        triple = compress(action)
         _, counts = counted(action, lambda: reconstruct(triple))
         k, quotient = action.group.order, triple.quotient
         facets = sum(
@@ -94,7 +94,7 @@ def test_minrep_call_count_is_exact():
 
 def test_rejects_invalid_triple():
     action = regular_fixtures()["c3-triangle-sd2"]
-    triple, _ = compress(action)
+    triple = compress(action)
     key = next(iter(triple.transfers))
     del triple.transfers[key]
     with pytest.raises(TripleValidationError):
@@ -106,7 +106,7 @@ def test_corrupt_stabilizer_fails_integrity():
     # subgroup containments) yet doubles a fiber, so two labels collapse onto
     # the same vertex set during assembly
     action = regular_fixtures()["klein-bowtie-sd2"]
-    triple, _ = compress(action)
+    triple = compress(action)
     group = triple.group
     y = next(
         i
@@ -121,7 +121,7 @@ def test_corrupt_stabilizer_fails_integrity():
 def test_recovered_action_is_well_formed_and_regular():
     for name in ("hexagon-antipodal", "cycle-3", "dihedral-3"):
         action = regular_fixtures()[name]
-        triple, _ = compress(action)
+        triple = compress(action)
         rc = reconstruct(triple)
         recovered = recovered_action(rc)  # validates automorphism laws itself
         assert check_regularity(recovered).regular, name
@@ -130,7 +130,7 @@ def test_recovered_action_is_well_formed_and_regular():
 def test_face_relation_is_a_partial_order():
     for name in ("trivial-triangle", "hexagon-antipodal", "cycle-2", "dihedral-3"):
         action = regular_fixtures()[name]
-        triple, _ = compress(action)
+        triple = compress(action)
         rc = reconstruct(triple)
         assert check_partial_order(rc), name
 
@@ -170,7 +170,7 @@ def test_mutated_triples_are_refused_or_reconstruct_closed():
     rng = random.Random(6)
     outcomes = Counter()
     for name, action in regular_fixtures().items():
-        triple, _ = compress(action)
+        triple = compress(action)
         for _ in range(320):
             bad = mutated(triple, rng)
             try:

@@ -1,17 +1,26 @@
+from types import SimpleNamespace
+
 import pytest
 
+from equicompress.actions import GroupAction, quotient
+from equicompress.bench import counted
+from equicompress.cog import CompressedTriple
 from equicompress.compress import compress
-from equicompress.errors import BruteForceBoundError, InputMismatchError
+from equicompress.errors import (
+    BruteForceBoundError,
+    InputMismatchError,
+    NotAnAutomorphismError,
+)
 from equicompress.families import (
     cycle_complex,
     cycle_rotation_action,
     hexagon_antipodal_action,
     regular_fixtures,
 )
-from equicompress.actions import GroupAction
-from equicompress.reconstruct import reconstruct, recovered_action
+from equicompress.reconstruct import ReconstructedComplex, reconstruct, recovered_action
 from equicompress.verify import (
     PROPERTIES,
+    EquivarianceReport,
     find_equivariant_isomorphism,
     verify_quotient_identity,
     verify_roundtrip,
@@ -21,15 +30,21 @@ from relabel import moved_lifts, relabelled
 
 
 def roundtrip(action):
-    triple, certificate = compress(action)
-    rc = reconstruct(triple)
-    return triple, certificate, rc
+    triple = compress(action)
+    return triple, reconstruct(triple)
+
+
+def swapped(rc, a, b):
+    """A tampered copy of ``rc`` whose simplices a and b trade labels."""
+    labels = list(rc.labels)
+    labels[a], labels[b] = labels[b], labels[a]
+    return ReconstructedComplex(rc.complex, labels, rc.triple)
 
 
 def test_report_covers_all_properties():
     action = hexagon_antipodal_action()
-    _, certificate, rc = roundtrip(action)
-    report = verify_roundtrip(action, certificate, rc)
+    _, rc = roundtrip(action)
+    report = verify_roundtrip(action, rc)
     assert report.passed
     assert set(report.properties) == set(PROPERTIES)
     assert all(ok for ok, _ in report.properties.values())
@@ -39,29 +54,31 @@ def test_report_covers_all_properties():
 
 def test_all_fixtures_verify():
     for name, action in regular_fixtures().items():
-        _, certificate, rc = roundtrip(action)
-        report = verify_roundtrip(action, certificate, rc)
+        _, rc = roundtrip(action)
+        report = verify_roundtrip(action, rc)
         assert report.passed, (name, report.to_doc())
 
 
 def test_mismatched_inputs_rejected():
     a = hexagon_antipodal_action()
     b = cycle_rotation_action(3)
-    _, cert_a, rc_a = roundtrip(a)
-    _, cert_b, rc_b = roundtrip(b)
+    # same group as the hexagon's, other quotient: a square
+    c = GroupAction.from_generator_perms([[4, 5, 6, 7, 0, 1, 2, 3]], cycle_complex(8))
+    _, rc_a = roundtrip(a)
+    _, rc_b = roundtrip(b)
+    assert c.group == a.group
     with pytest.raises(InputMismatchError):
-        verify_roundtrip(a, cert_a, rc_b)
+        verify_roundtrip(a, rc_b)
     with pytest.raises(InputMismatchError):
-        verify_roundtrip(a, cert_b, rc_a)
+        verify_roundtrip(c, rc_a)
 
 
-def test_tampered_certificate_fails():
+def test_tampered_reconstruction_fails():
     action = hexagon_antipodal_action()
-    _, certificate, rc = roundtrip(action)
-    # swap two lifts within the same dimension: fibers no longer line up
-    v0, v1 = certificate.lifts[0], certificate.lifts[1]
-    certificate.lifts[0], certificate.lifts[1] = v1, v0
-    report = verify_roundtrip(action, certificate, rc)
+    _, rc = roundtrip(action)
+    # swap the labels of two vertices: the comparison map no longer lines up
+    # with the faces of the reconstruction
+    report = verify_roundtrip(action, swapped(rc, 0, 1))
     assert not report.passed
     failed = [name for name, (ok, _) in report.properties.items() if not ok]
     assert failed
@@ -70,10 +87,161 @@ def test_tampered_certificate_fails():
 
 
 def test_quotient_identity():
-    for name in ("trivial-triangle", "hexagon-antipodal", "cycle-3", "dihedral-4"):
-        action = regular_fixtures()[name]
-        triple, _, rc = roundtrip(action)
-        assert verify_quotient_identity(rc, triple.quotient), name
+    for name, action in regular_fixtures().items():
+        for acted in (action, relabelled(action)[0]):
+            triple, rc = roundtrip(acted)
+            assert verify_quotient_identity(rc, triple.quotient), name
+    # a reconstruction tampered by swapping labels across classes is caught
+    triple, rc = roundtrip(hexagon_antipodal_action())
+    edges = [sid for sid, s in enumerate(rc.complex.simplices) if len(s) == 2]
+    assert not verify_quotient_identity(swapped(rc, edges[0], edges[-1]), triple.quotient)
+
+
+def _reference_verify_roundtrip(action, certificate, rc):
+    """Reference verifier: well-definedness and equivariance over every element of G.
+
+    The orbit map and the lifts come in ``certificate``; the reconstruction's
+    action is ``recovered_action``, which moves each simplex by its vertices.
+    """
+    triple = rc.triple
+    if triple.group is not action.group and triple.group != action.group:
+        raise InputMismatchError("reconstruction and action use different groups")
+    if len(certificate.orbit_map) != len(action.complex):
+        raise InputMismatchError("certificate does not match the action's complex")
+
+    group = triple.group
+    properties = {}
+
+    comparison = [
+        action.act_on_simplex(g, certificate.lifts[y]) for (y, g) in rc.labels
+    ]
+
+    counterexample = None
+    for y, lift in enumerate(certificate.lifts):
+        stabilizer = triple.stabilizers[y]
+        for g in range(group.order):
+            if action.act_on_simplex(g, lift) != action.act_on_simplex(
+                group.minrep(stabilizer, g), lift
+            ):
+                counterexample = {"class": y, "element": g}
+                break
+        if counterexample:
+            break
+    properties["well-defined"] = (counterexample is None, counterexample)
+
+    seen = {}
+    counterexample = None
+    for sid, image in enumerate(comparison):
+        if image in seen:
+            counterexample = {"simplices": [seen[image], sid], "image": image}
+            break
+        seen[image] = sid
+    properties["injective"] = (counterexample is None, counterexample)
+
+    missing = sorted(set(range(len(action.complex))) - set(comparison))
+    properties["surjective"] = (
+        not missing,
+        {"uncovered": missing[:5]} if missing else None,
+    )
+
+    action_on_rc = recovered_action(rc)
+    counterexample = None
+    for sid in range(len(rc)):
+        for h in range(group.order):
+            moved = action_on_rc.act_on_simplex(h, sid)
+            if comparison[moved] != action.act_on_simplex(h, comparison[sid]):
+                counterexample = {"simplex": sid, "element": h}
+                break
+        if counterexample:
+            break
+    properties["equivariant"] = (counterexample is None, counterexample)
+
+    counterexample = None
+    for sid in range(len(rc)):
+        for fid in rc.complex.faces_codim1[sid]:
+            if comparison[fid] not in action.complex.faces_codim1[comparison[sid]]:
+                counterexample = {"simplex": sid, "face": fid}
+                break
+        if counterexample:
+            break
+    properties["simplicial"] = (counterexample is None, counterexample)
+
+    counterexample = None
+    for sid, (y, _) in enumerate(rc.labels):
+        if certificate.orbit_map[comparison[sid]] != y:
+            counterexample = {"simplex": sid, "class": y}
+            break
+    properties["fiber-preserving"] = (counterexample is None, counterexample)
+
+    return EquivarianceReport(all(ok for ok, _ in properties.values()), properties)
+
+
+def _certificate(action):
+    _, orbit_map, lifts = quotient(action)
+    return SimpleNamespace(orbit_map=orbit_map, lifts=lifts)
+
+
+def _flags(report):
+    return {name: ok for name, (ok, _) in report.properties.items()}
+
+
+def test_verifier_matches_the_reference():
+    raised = reported = 0
+    for name, action in regular_fixtures().items():
+        for acted in (action, relabelled(action)[0]):
+            certificate = _certificate(acted)
+            _, rc = roundtrip(acted)
+            new = verify_roundtrip(acted, rc)
+            ref = _reference_verify_roundtrip(acted, certificate, rc)
+            assert (new.passed, _flags(new)) == (ref.passed, _flags(ref)), name
+
+            by_dim = {}
+            for sid, simplex in enumerate(rc.complex.simplices):
+                by_dim.setdefault(len(simplex), []).append(sid)
+            for sids in by_dim.values():
+                if len(sids) < 2:
+                    continue
+                for a, b in {(sids[0], sids[1]), (sids[0], sids[-1])}:
+                    bad = swapped(rc, a, b)
+                    new = verify_roundtrip(acted, bad)
+                    try:
+                        ref = _reference_verify_roundtrip(acted, certificate, bad)
+                    except NotAnAutomorphismError:
+                        # swapped vertex labels give no action on the complex
+                        raised += 1
+                        assert not new.passed, (name, a, b)
+                        assert any(ce for ok, ce in new.properties.values() if not ok)
+                        continue
+                    reported += 1
+                    assert new.passed == ref.passed, (name, a, b)
+                    differ = {p for p in PROPERTIES if _flags(new)[p] != _flags(ref)[p]}
+                    # The reference moves simplices by their vertices' labels,
+                    # the verifier by their own: after a swap the label action
+                    # carries both sides of the comparison along, and only the
+                    # face check sees the swap.
+                    assert differ <= {"equivariant"}, (name, a, b, differ)
+                    if differ:
+                        assert _flags(new)["equivariant"] and not _flags(new)["simplicial"]
+
+            # every stabilizer widened to G: a valid triple whose reconstruction
+            # is the bare quotient, and S(y) moves lift(y) unless G acts trivially
+            triple = rc.triple
+            full = [triple.group.full_subgroup()] * len(triple.quotient)
+            widened = CompressedTriple(triple.group, triple.quotient, full, triple.transfers)
+            bare = reconstruct(widened)
+            new = verify_roundtrip(acted, bare)
+            ref = _reference_verify_roundtrip(acted, certificate, bare)
+            assert (new.passed, _flags(new)) == (ref.passed, _flags(ref)), name
+            assert new.passed == (acted.group.order == 1), name
+    assert raised and reported
+
+
+def test_passing_verification_reads_one_coset_per_simplex_and_generator():
+    for name, action in regular_fixtures().items():
+        _, rc = roundtrip(action)
+        report, counts = counted(action, lambda: verify_roundtrip(action, rc))
+        assert report.passed, name
+        assert counts["minrep"] == len(rc) * len(action.group.generators), name
 
 
 def test_isomorphism_between_lift_policies():
@@ -82,8 +250,8 @@ def test_isomorphism_between_lift_policies():
         action = regular_fixtures()[name]
         copy, to_copy = relabelled(action)
         assert moved_lifts(action, copy, to_copy) >= 1, name
-        _, _, rc = roundtrip(action)
-        _, _, rc_copy = roundtrip(copy)
+        _, rc = roundtrip(action)
+        _, rc_copy = roundtrip(copy)
         a, b = recovered_action(rc), recovered_action(rc_copy)
         vmap = find_equivariant_isomorphism(a, b)
         assert vmap is not None, name
