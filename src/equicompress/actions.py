@@ -8,11 +8,20 @@ orbits.  Conditions (1) and (2) are the classical ones; (3) is the extra
 requirement that makes the quotient a simplicial complex (without it a free
 rotation of a polygon boundary would collapse an edge onto a single vertex).
 
-An action keeps one simplex-image row per group element: the generators' rows
-come from their vertex permutations, the rest from ``FiniteGroup.compose_rows``.
-From the rows it derives one orbit partition, ``GroupAction.orbit_ids``, and
-both the regularity check and the quotient read it.  Condition (2) compares
-orbit ids within each group of simplices with equal vertex-orbit multisets.
+An action keeps one simplex-image row per generator, tabulated from the
+generator's vertex permutation; no other element's row is built.  Whether the
+permutations respect the group's relations is checked once, on |G| vertex
+permutations that are dropped afterwards.  A breadth-first walk along the
+generator rows gives the orbits, numbered by their minimal member, and a
+transversal t[x] carrying each orbit's minimum to x.  The stabilizer of a
+minimum is closed from Schreier generators, and conjugating it by t[x] gives
+the stabilizer of x.  The elements carrying x to y form the coset
+t[y] * Stab(min) * t[x]^-1, and g * x is the point whose coset is
+g * t[x] * Stab(min) (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+The orbit partition, ``GroupAction.orbit_ids``, drives both the regularity
+check and the quotient, and the quotient is computed once per action.
+Condition (2) compares orbit ids within each group of simplices with equal
+vertex-orbit multisets.
 Condition (3) implies (1): a setwise stabilizer maps each vertex into its own
 orbit, which under (3) meets the simplex in that vertex alone, so the vertex is
 fixed; stabilizers are only built when some simplex repeats a vertex orbit.
@@ -23,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import groups
 from .complexes import SimplicialComplex, barycentric_subdivision, complex_to_doc
 from .errors import (
     FormatError,
@@ -54,7 +64,15 @@ class RegularityReport:
 class GroupAction:
     """A finite group acting on a complex, given one vertex permutation per generator.
 
-    Vertex v is simplex v, so the simplex-image rows hold the vertex images too.
+    Vertex v is simplex v, so the generators' simplex rows hold their vertex
+    images too.  Everything else is derived from those rows: the orbits with a
+    transversal, the stabilizer of each orbit's minimum, and per orbit a map
+    from the cosets of that stabilizer to the orbit's points.
+
+    ``orbit_ids`` holds the orbit id per simplex; orbits are numbered by their
+    minimal member.  Vertices come first in canonical order, so the vertex
+    orbits are 0..k-1 and ``orbit_ids[v]`` is the class of vertex v in the
+    quotient.
     """
 
     def __init__(self, group, complex_, generator_images):
@@ -64,10 +82,18 @@ class GroupAction:
         self.complex = complex_
         self.generator_images = [tuple(row) for row in generator_images]
         self.op_counts = None
-        self._simplex_images = group.compose_rows(
-            [self._simplex_row(g, row) for g, row in zip(group.generators, self.generator_images)],
-            len(complex_),
-        )
+        self.generator_rows = [
+            self._simplex_row(g, row) for g, row in zip(group.generators, self.generator_images)
+        ]
+        group.check_homomorphism(self.generator_images, complex_.vertex_count)
+        self.orbit_ids, self._transversal, self._orbits = self._walk_orbits()
+        # each orbit holds a stabilizer of |G| / |orbit| elements and a coset
+        # map of |G| entries once they are built
+        if group.order * len(self._orbits) > groups.MAX_TABLE_ENTRIES:
+            raise GroupTooLargeError(
+                f"stabilizers of {len(self._orbits)} orbits under a group of order "
+                f"{group.order} exceed the maximum of {groups.MAX_TABLE_ENTRIES} table entries"
+            )
 
     @classmethod
     def from_generator_perms(cls, generator_perms, complex_):
@@ -80,34 +106,42 @@ class GroupAction:
         complex_ = self.complex
         if sorted(row) != list(range(complex_.vertex_count)):
             raise NotAnAutomorphismError(f"element {g} does not permute the vertices")
-        table = []
-        for simplex in complex_.simplices:
-            sid = complex_.index.get(tuple(sorted(row[v] for v in simplex)))
-            if sid is None:
-                raise NotAnAutomorphismError(
-                    f"element {g} maps simplex {simplex} outside the complex"
-                )
-            table.append(sid)
+        sid_of, image = complex_.index.get, row.__getitem__
+        table = [sid_of(tuple(sorted(map(image, simplex)))) for simplex in complex_.simplices]
+        if None in table:
+            simplex = complex_.simplices[table.index(None)]
+            raise NotAnAutomorphismError(f"element {g} maps simplex {simplex} outside the complex")
         return table
 
-    def act_on_simplex(self, g, sid):
-        return self._simplex_images[g][sid]
+    def _walk_orbits(self):
+        """Breadth-first walk of every orbit along the generator rows.
 
-    @cached_property
-    def orbit_ids(self):
-        """Orbit id per simplex; orbits are numbered by their minimal member.
-
-        Vertices come first in canonical order, so the vertex orbits are
-        0..k-1 and ``orbit_ids[v]`` is the class of vertex v in the quotient.
+        Returns the orbit id per simplex, a transversal element t[x] with
+        t[x] * min = x (t[s*x] = s * t[x] along the walk), and the members of
+        each orbit in walk order, its minimum first.
         """
-        ids = [-1] * len(self.complex)
-        next_id = 0
-        for sid in range(len(ids)):
-            if ids[sid] < 0:
-                for row in self._simplex_images:
-                    ids[row[sid]] = next_id
-                next_id += 1
-        return ids
+        n = len(self.complex)
+        ids = [-1] * n
+        transversal = [0] * n
+        orbits = []
+        mult = self.group._mult
+        steps = list(zip(self.group.generators, self.generator_rows))
+        for start in range(n):
+            if ids[start] >= 0:
+                continue
+            oid = len(orbits)
+            ids[start] = oid
+            members = [start]
+            for x in members:  # grows while walked
+                t_x = transversal[x]
+                for s, row in steps:
+                    y = row[x]
+                    if ids[y] < 0:
+                        ids[y] = oid
+                        transversal[y] = mult[s][t_x]
+                        members.append(y)
+            orbits.append(members)
+        return ids, transversal, orbits
 
     @cached_property
     def orbit_keys(self):
@@ -115,24 +149,106 @@ class GroupAction:
         ids = self.orbit_ids
         return [tuple(sorted(ids[v] for v in simplex)) for simplex in self.complex.simplices]
 
+    @cached_property
+    def _stabilizers(self):
+        """Per orbit, the stabilizer of its minimum, closed from Schreier generators.
+
+        By Schreier's lemma t[s*x]^-1 * s * t[x], over the orbit's points x and
+        the generators s, generate it; each closure stops once it holds
+        |G| / |orbit| elements, so a free orbit costs nothing.
+        """
+        group = self.group
+        mult, inverse = group._mult, group._inverse
+        transversal = self._transversal
+        steps = list(zip(group.generators, self.generator_rows))
+        stabilizers = []
+        for members in self._orbits:
+            order = group.order // len(members)
+            generators = []
+            reached = {0}
+            for x in members:
+                if len(reached) == order:
+                    break
+                t_x = transversal[x]
+                for s, row in steps:
+                    g = mult[inverse[transversal[row[x]]]][mult[s][t_x]]
+                    if g in reached:
+                        continue
+                    generators.append(g)
+                    elements, reached = [0], {0}
+                    for a in elements:  # grows while walked
+                        row_a = mult[a]
+                        for b in generators:
+                            c = row_a[b]
+                            if c not in reached:
+                                reached.add(c)
+                                elements.append(c)
+            stabilizers.append(Subgroup(group, reached))
+        return stabilizers
+
+    @cached_property
+    def coset_points(self):
+        """Per orbit, its points keyed by the minimal member of their coset.
+
+        Point x of the orbit is t[x] * min, so its coset is t[x] * Stab(min),
+        whose minimal member the stabilizer's ``coset_reps`` gives.
+        """
+        transversal = self._transversal
+        return [
+            {stabilizer.coset_reps[transversal[x]]: x for x in members}
+            for stabilizer, members in zip(self._stabilizers, self._orbits)
+        ]
+
+    def act_on_simplex(self, g, sid):
+        """g * sid: the point of the orbit whose coset is g * t[sid] * Stab(min)."""
+        oid = self.orbit_ids[sid]
+        reps = self._stabilizers[oid].coset_reps
+        return self.coset_points[oid][reps[self.group._mult[g][self._transversal[sid]]]]
+
     def stab(self, sid):
-        """Setwise stabilizer subgroup of a simplex."""
+        """Setwise stabilizer subgroup of a simplex: t[sid] * Stab(min) * t[sid]^-1."""
         if self.op_counts is not None:
             self.op_counts["stab"] += 1
-        return Subgroup(
-            self.group, [g for g, table in enumerate(self._simplex_images) if table[sid] == sid]
-        )
+        stabilizer = self._stabilizers[self.orbit_ids[sid]]
+        t = self._transversal[sid]
+        if t == 0:
+            return stabilizer
+        mult = self.group._mult
+        row_t, t_inv = mult[t], self.group._inverse[t]
+        return Subgroup(self.group, [mult[row_t[h]][t_inv] for h in stabilizer.elements])
 
     def trans(self, sid, target):
-        """Enumeration-minimal g with g*sid = target, or None."""
+        """Enumeration-minimal g with g*sid = target, or None.
+
+        Those g form the coset t[target] * Stab(min) * t[sid]^-1.
+        """
         if self.op_counts is not None:
             self.op_counts["trans"] += 1
         if sid == target:
             return 0
-        for g in range(self.group.order):
-            if self._simplex_images[g][sid] == target:
-                return g
-        return None
+        oid = self.orbit_ids[sid]
+        if oid != self.orbit_ids[target]:
+            return None
+        mult, transversal = self.group._mult, self._transversal
+        row_t, t_inv = mult[transversal[target]], self.group._inverse[transversal[sid]]
+        return min(mult[row_t[h]][t_inv] for h in self._stabilizers[oid].elements)
+
+    @cached_property
+    def quotient(self):
+        """(Y, p, lifts) of a regular action, computed once; see ``quotient``."""
+        report = check_regularity(self)
+        if not report.regular:
+            raise RegularityViolationError(report)
+        complex_ = self.complex
+        n_classes = max(self.orbit_ids[: complex_.vertex_count], default=-1) + 1
+        keys = self.orbit_keys
+        quotient_complex = SimplicialComplex(n_classes, set(keys))
+        p = [quotient_complex.index[key] for key in keys]
+        lifts = [None] * len(quotient_complex)
+        for x, y in enumerate(p):
+            if lifts[y] is None:
+                lifts[y] = x
+        return quotient_complex, p, lifts
 
 
 def check_regularity(action):
@@ -149,9 +265,13 @@ def check_regularity(action):
 
     # (3) implies (1): a setwise stabilizer maps each vertex of the simplex into
     # that vertex's own orbit, which under (3) meets the simplex in that vertex
-    # alone.  So only an action violating (3) can violate (1).
+    # alone.  So only an action violating (3) can violate (1).  Pointwise fixing
+    # holds along a whole orbit or nowhere on it, so the first simplex violating
+    # (1) is an orbit minimum; the minima are the first members of the orbits.
     if repeat is not None:
-        for sid, simplex in enumerate(complex_.simplices):
+        for members in action._orbits:
+            sid = members[0]
+            simplex = complex_.simplices[sid]
             if len(simplex) == 1:
                 continue
             for g in action.stab(sid).elements:
@@ -203,28 +323,18 @@ def quotient(action):
     to its orbit class id in Y, and lifts[y] is the minimal member of class y.
     Vertex classes are numbered by their minimal member; higher simplices
     follow canonical order of their class tuples.  Under (3) a facet's key is
-    its simplex's key less one class: the keys are closed.
+    its simplex's key less one class: the keys are closed.  The action
+    computes the result once and keeps it.
     """
-    report = check_regularity(action)
-    if not report.regular:
-        raise RegularityViolationError(report)
-    complex_ = action.complex
-    n_classes = max(action.orbit_ids[: complex_.vertex_count], default=-1) + 1
-    keys = action.orbit_keys
-    quotient_complex = SimplicialComplex(n_classes, set(keys))
-    p = [quotient_complex.index[key] for key in keys]
-    lifts = [None] * len(quotient_complex)
-    for x, y in enumerate(p):
-        if lifts[y] is None:
-            lifts[y] = x
-    return quotient_complex, p, lifts
+    return action.quotient
 
 
 def induced_action_on_subdivision(action):
     """Subdivide the action's complex and push the action through it."""
     # subdivision vertex ids are simplex ids of the action's complex
-    images = [action._simplex_images[g] for g in action.group.generators]
-    return GroupAction(action.group, barycentric_subdivision(action.complex), images)
+    return GroupAction(
+        action.group, barycentric_subdivision(action.complex), action.generator_rows
+    )
 
 
 def action_to_doc(action):

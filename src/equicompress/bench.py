@@ -54,11 +54,10 @@ def counted(action, fn):
 
 def bench_one(family, order, repeats=1):
     """One BenchReport row: run the family member at the given group order."""
-    action = FAMILIES[family](order)
-    complex_ = action.complex
-
     best_compress = math.inf
     for _ in range(repeats):
+        # a fresh action per repeat: an action keeps its quotient and stabilizers
+        action = FAMILIES[family](order)
         t0 = time.perf_counter()
         triple, compress_counts = counted(action, lambda: compress(action))
         best_compress = min(best_compress, time.perf_counter() - t0)
@@ -69,6 +68,7 @@ def bench_one(family, order, repeats=1):
         rc, reconstruct_counts = counted(action, lambda: reconstruct(triple))
         best_reconstruct = min(best_reconstruct, time.perf_counter() - t0)
 
+    complex_ = action.complex
     f = max(Counter(action.orbit_ids).values())
     h = max(len(s) for s in triple.stabilizers)
     row = {

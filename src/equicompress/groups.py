@@ -3,10 +3,10 @@
 Elements are referred to everywhere by their enumeration index: the identity
 is index 0 and the remaining indices follow breadth-first discovery order
 from the generating set, so the enumeration is deterministic for a fixed
-input.  The closure records each element times each generator; every
-per-element table (the multiplication table, an action's rows) is composed
-from that record along the discovery paths, and each subgroup reads its
-left-coset representatives from one table.
+input.  The closure records each element times each generator; the
+multiplication table, and the vertex permutations an action's homomorphism
+check compares, are composed from that record along the discovery paths, and
+each subgroup reads its left-coset representatives from one table.
 """
 
 from __future__ import annotations
@@ -19,10 +19,14 @@ from .errors import FormatError, GroupTooLargeError, NotAnAutomorphismError
 # building it takes seconds and up to about 300 MB.
 DEFAULT_MAX_ORDER = 4096
 
-# Bound on |G| times the degree of the permutations the group is closed from or
-# acts by: the closure holds |G| permutation tuples of the domain and an action
-# holds a |G| x |X| simplex table.  C_4096 acting on a 4096-cycle (4096 x 8192
-# simplex images) sits at the bound.
+# Bound on |G| times the number of points the group is closed from or acts on
+# by vertex permutations, and on |G| times the number of an action's orbits:
+# the closure holds |G| permutation tuples of its domain, an action's
+# homomorphism check holds |G| vertex permutations while it runs, and each
+# orbit keeps a stabilizer of |G| / |orbit| elements and a coset map of |G|
+# entries.  No table of |G| x |X| simplex images is built, and |G| times the
+# orbit count never exceeds it.  C_4096 acting on an 8192-cycle (4096 x 8192
+# vertex images) sits at the bound.
 MAX_TABLE_ENTRIES = 1 << 25
 
 
@@ -36,12 +40,14 @@ class FiniteGroup:
 
     Holds the full multiplication table.  ``right[g][i]`` is the index of g
     times the i-th generator; element h > 0 was first found as ``parents[h]``
-    times generator ``last_generators[h]``.
+    times generator ``last_generators[h]``.  ``generator_perms`` are the
+    permutations the group was closed from, one tuple per generator.
     """
 
-    def __init__(self, generator_indices, right, parents, last_generators):
+    def __init__(self, generator_indices, right, parents, last_generators, generator_perms):
         self.order = len(right)
         self.generators = list(generator_indices)
+        self.generator_perms = generator_perms
         self.op_counts = None
         self._right = right
         self._parents = parents
@@ -55,28 +61,35 @@ class FiniteGroup:
             self._mult.append(row)
         self._inverse = [row.index(0) for row in self._mult]
 
-    def compose_rows(self, generator_rows, degree):
-        """Extend one permutation of 0..degree-1 per generator to all elements.
+    def check_homomorphism(self, generator_perms, degree):
+        """Raise unless one permutation of 0..degree-1 per generator extends to G.
 
-        Row h = parent(h)*s maps x to row[parent(h)][row[s][x]]; checking
-        every Cayley-graph edge g -> g*s makes the rows a homomorphism.
+        Element h = parent(h)*s gets the permutation x -> perm[parent(h)][perm[s][x]];
+        the Cayley-graph edges g -> g*s off the discovery tree must then agree
+        with it.  The |G| permutations are dropped on return.  The permutations
+        the group was closed from pass at once: the group's elements are their
+        products.
         """
+        if generator_perms == self.generator_perms:
+            return
         if self.order * degree > MAX_TABLE_ENTRIES:
             raise GroupTooLargeError(
                 f"a table of {self.order} x {degree} entries exceeds the maximum "
                 f"{MAX_TABLE_ENTRIES}"
             )
-        rows = [list(range(degree))]
+        parents, last_generators = self._parents, self._last_generators
+        perms = [list(range(degree))]
         for h in range(1, self.order):
-            parent_row = rows[self._parents[h]]
-            rows.append([parent_row[x] for x in generator_rows[self._last_generators[h]]])
-        for g, row in enumerate(rows):
-            for i, gen_row in enumerate(generator_rows):
-                if rows[self._right[g][i]] != [row[x] for x in gen_row]:
+            parent_perm = perms[parents[h]]
+            perms.append([parent_perm[x] for x in generator_perms[last_generators[h]]])
+        for g, perm in enumerate(perms):
+            for i, h in enumerate(self._right[g]):
+                if h and parents[h] == g and last_generators[h] == i:
+                    continue  # perms[h] was composed along this edge
+                if perms[h] != [perm[x] for x in generator_perms[i]]:
                     raise NotAnAutomorphismError(
                         "vertex tables are not compatible with the group multiplication"
                     )
-        return rows
 
     def prod(self, g, h):
         """Index of the product g*h."""
@@ -221,8 +234,8 @@ def enumerate_from_generators(generators, domain_size, max_order=DEFAULT_MAX_ORD
         right.append(row)
 
     generator_indices = [seen[p] for p in gens]
-    del perms, seen  # the group keeps only the Cayley graph, not the permutations
-    return FiniteGroup(generator_indices, right, parents, last_generators)
+    del perms, seen  # the group keeps the Cayley graph and the generators' permutations
+    return FiniteGroup(generator_indices, right, parents, last_generators, gens)
 
 
 def group_to_doc(group):

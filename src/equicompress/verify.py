@@ -4,10 +4,11 @@ The primary verifier reads only the action and the reconstruction.  It builds
 the canonical comparison map s(y, g) = g * lift(y) from the reconstruction
 back to the original complex, with the lifts ``quotient`` returns, and checks
 that it is a well-defined equivariant simplicial bijection preserving fibers.
-Well-definedness is checked on the stabilizer elements and equivariance on
-the generators, which is exhaustive: g and minrep(S(y), g) differ by an
-element of S(y), and a map between two G-actions that commutes with a
-generating set commutes with G.
+The map is read in bulk from the action's per-orbit coset maps: g * lift(y)
+is the point whose coset of the lift's stabilizer is g's.  Well-definedness is
+checked on the stabilizer elements and equivariance on the generator rows,
+which is exhaustive: g and minrep(S(y), g) differ by an element of S(y), and a
+map between two G-actions that commutes with a generating set commutes with G.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def verify_roundtrip(action, rc):
     """Verify that a reconstruction matches the original action.
 
     The reconstruction's action is read from its labels:
-    h * (y, g) = (y, minrep(S(y), h * g)).  Raises InputMismatchError when the
+    h * (y, g) = (y, minrep(S(y), h * g)); labels that this does not carry
+    onto labels fail "equivariant".  Raises InputMismatchError when the
     reconstruction is over another group or another quotient, and
     RegularityViolationError for an irregular action.
     """
@@ -62,15 +64,18 @@ def verify_roundtrip(action, rc):
     group = triple.group
     properties = {}
 
-    comparison = [action.act_on_simplex(g, lifts[y]) for (y, g) in rc.labels]
+    # the lifts are orbit minima, so g * lift(y) is the point of the lift's
+    # orbit whose coset of the lift's stabilizer holds g
+    stabilizers = [action.stab(lift) for lift in lifts]
+    reps = [stabilizer.coset_reps for stabilizer in stabilizers]
+    points = [action.coset_points[action.orbit_ids[lift]] for lift in lifts]
+    comparison = [points[y][reps[y][g]] for (y, g) in rc.labels]
 
     counterexample = None
-    for y, lift in enumerate(lifts):
-        for s in triple.stabilizers[y].elements:
-            if action.act_on_simplex(s, lift) != lift:
-                counterexample = {"class": y, "element": s}
-                break
-        if counterexample:
+    for y, stabilizer in enumerate(stabilizers):
+        s = next((s for s in triple.stabilizers[y].elements if s not in stabilizer), None)
+        if s is not None:
+            counterexample = {"class": y, "element": s}
             break
     properties["well-defined"] = (counterexample is None, counterexample)
 
@@ -90,11 +95,12 @@ def verify_roundtrip(action, rc):
     )
 
     sid_of = {label: sid for sid, label in enumerate(rc.labels)}
+    steps = list(zip(action.group.generators, action.generator_rows))
     counterexample = None
     for sid, (y, g) in enumerate(rc.labels):
-        for h in group.generators:
-            moved = sid_of[(y, group.minrep(triple.stabilizers[y], group.prod(h, g)))]
-            if comparison[moved] != action.act_on_simplex(h, comparison[sid]):
+        for h, row in steps:
+            moved = sid_of.get((y, group.minrep(triple.stabilizers[y], group.prod(h, g))))
+            if moved is None or comparison[moved] != row[comparison[sid]]:
                 counterexample = {"simplex": sid, "element": h}
                 break
         if counterexample:

@@ -34,6 +34,9 @@ from equicompress.families import (
 )
 from equicompress.groups import enumerate_from_generators
 
+from reference_actions import ReferenceAction
+from relabel import relabelled
+
 
 def test_rejects_non_automorphism():
     x = cycle_complex(4)
@@ -315,3 +318,52 @@ def test_regularity_and_quotient_match_the_reference():
                 ref_p,
             ), name
     assert outcomes == {None, POINTWISE_FIX, ORBIT_CLOSURE, DISTINCT_VERTEX_ORBITS}
+
+
+def _reference_action_corpus():
+    """Every fixture, its relabelled copy and its first two subdivisions, and
+    S_3/S_4 permuting the vertices of a simplex, with up to two subdivisions."""
+    fixtures = dict(regular_fixtures())
+    fixtures.update((name, action) for name, (action, _) in irregular_fixtures().items())
+    for n in (3, 4):
+        transposition = [1, 0] + list(range(2, n))
+        cycle = list(range(1, n)) + [0]
+        fixtures[f"S{n}-simplex"] = GroupAction.from_generator_perms(
+            [transposition, cycle], build_complex([list(range(n))])
+        )
+    corpus = {}
+    for name, action in fixtures.items():
+        corpus[name] = action
+        corpus[f"{name}-relabelled"] = relabelled(action)[0]
+        corpus[f"{name}-sd1"] = subdivide_action(action)
+        corpus[f"{name}-sd2"] = subdivide_action(corpus[f"{name}-sd1"])
+    return corpus
+
+
+# All |X|^2 transporter pairs are compared up to this size; above it (four
+# complexes of 1,345 to 7,873 simplices) the pairs within each orbit, and one
+# pair per simplex across orbits.
+ALL_PAIRS_UP_TO = 700
+
+
+def test_action_from_generators_matches_the_per_element_table():
+    for name, action in _reference_action_corpus().items():
+        reference = ReferenceAction(action.group, action.complex, action.generator_images)
+        ids = action.orbit_ids
+        assert ids == reference.orbit_ids, name
+        n, order = len(action.complex), action.group.order
+        for g in range(order):
+            for x in range(n):
+                assert action.act_on_simplex(g, x) == reference.act_on_simplex(g, x), (name, g, x)
+        for x in range(n):
+            assert action.stab(x) == reference.stab(x), (name, x)
+        if n <= ALL_PAIRS_UP_TO:
+            pairs = [(x, y) for x in range(n) for y in range(n)]
+        else:
+            members = {}
+            for x, oid in enumerate(ids):
+                members.setdefault(oid, []).append(x)
+            pairs = [(x, y) for orbit in members.values() for x in orbit for y in orbit]
+            pairs += [(x, members[(ids[x] + 1) % len(members)][0]) for x in range(n)]
+        for x, y in pairs:
+            assert action.trans(x, y) == reference.trans(x, y), (name, x, y)

@@ -42,6 +42,19 @@ def test_dihedral_and_rotation_families_run():
     assert row["n"] == 2
 
 
+def test_every_compress_repeat_starts_from_a_fresh_action(monkeypatch):
+    # an action keeps its quotient and stabilizers, so a repeat on the same
+    # action would time less than a whole compression
+    once, _, _ = bench_one("cycle", 4)
+    built = []
+    family = FAMILIES["cycle"]
+    monkeypatch.setitem(FAMILIES, "cycle", lambda order: built.append(order) or family(order))
+    row, _, _ = bench_one("cycle", 4, repeats=3)
+    assert built == [4, 4, 4]
+    untimed = [key for key in row if not key.endswith("_seconds")]
+    assert [row[key] for key in untimed] == [once[key] for key in untimed]
+
+
 def test_single_order_run_gives_one_row():
     rows = run_bench("cycle", [6])
     assert len(rows) == 1

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equicompress
-from equicompress import groups
+from equicompress import actions, groups
 from equicompress.actions import action_to_doc, quotient
 from equicompress.cli import main
 from equicompress.cog import triple_to_doc
@@ -107,6 +107,19 @@ def test_compress_reconstruct_roundtrip(tmp_path, capsys, hexagon_action_file):
     assert main(["roundtrip", "--action", hexagon_action_file]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
+
+
+def test_roundtrip_checks_regularity_once(tmp_path, capsys, monkeypatch):
+    # compress and the verifier both read the quotient; it is computed once
+    calls = []
+    check = actions.check_regularity
+    monkeypatch.setattr(actions, "check_regularity", lambda a: calls.append(a) or check(a))
+    action_path = write(
+        tmp_path, "action.json", action_to_doc(klein_four_bowtie_action(subdivisions=2))
+    )
+    assert main(["roundtrip", "--action", action_path]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert len(calls) == 1
 
 
 def test_closed_complexes_are_not_capped_as_documents(tmp_path, capsys):
@@ -272,14 +285,14 @@ def test_bench_rejects_bad_sizes(argv, capsys):
     assert "--orders" in err or "--repeats" in err
 
 
-def run_cli(argv):
-    """Run the CLI in a fresh process with 1 GiB of address space."""
+def run_cli(argv, address_space=1 << 30):
+    """Run the CLI in a fresh process with 1 GiB of address space, or the bytes given."""
     src = str(Path(equicompress.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     return subprocess.run(
         [sys.executable, "-m", "equicompress.cli", *argv],
@@ -315,8 +328,8 @@ def test_oversized_subdivision_exits_2_before_listing_chains(tmp_path):
 
 def test_table_budget_exits_2_before_allocating(tmp_path):
     # C_4096 rotating a 16,384-cycle passes the order cap and the complex cap,
-    # but its closure (4096 permutations of 16,384 points) and its simplex
-    # table (4096 x 32,768 images) would end in a MemoryError in 1 GiB
+    # but its closure (4096 permutations of 16,384 points) would end in a
+    # MemoryError in 1 GiB
     n = 16_384
     doc = {
         "complex": complex_to_doc(cycle_complex(n)),
@@ -327,6 +340,22 @@ def test_table_budget_exits_2_before_allocating(tmp_path):
     assert "Traceback" not in result.stderr
     assert "$.group.generators:" in result.stderr
     assert "exceeds the maximum of 33554432 table entries" in result.stderr
+
+
+def test_roundtrip_of_a_large_group_holds_no_table_per_element(tmp_path):
+    # C_2048 rotating an 8192-cycle: a table of every element's simplex images
+    # (2048 x 16,384 entries) ends in a MemoryError in 256 MiB of address
+    # space, the action from its generator's rows passes
+    n = 8192
+    doc = {
+        "complex": complex_to_doc(cycle_complex(n)),
+        "group": {"generators": {"shift": [(v + 4) % n for v in range(n)]}},
+    }
+    out = str(tmp_path / "report.json")
+    path = write(tmp_path, "big.json", doc)
+    result = run_cli(["roundtrip", "--action", path, "--out", out], address_space=256 << 20)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(Path(out).read_text())["passed"] is True
 
 
 def test_oversized_reconstruction_exits_2_before_listing_labels(tmp_path):
@@ -351,15 +380,37 @@ def test_oversized_reconstruction_exits_2_before_listing_labels(tmp_path):
     )
 
 
-def test_table_budget_of_an_induced_action_exits_2(tmp_path, monkeypatch, capsys):
-    # the antipodal hexagon action has a 2 x 12 table, its subdivision 2 x 24
-    monkeypatch.setattr(groups, "MAX_TABLE_ENTRIES", 24)
+def test_vertex_budget_of_an_induced_action_exits_2(tmp_path, monkeypatch, capsys):
+    # the antipodal hexagon action permutes 6 vertices, 2 x 6 entries in its
+    # closure and homomorphism check; its subdivision permutes 12, 2 x 12
+    monkeypatch.setattr(groups, "MAX_TABLE_ENTRIES", 12)
     path = write(tmp_path, "hexagon.json", action_to_doc(hexagon_antipodal_action()))
     assert main(["check-regular", "--action", path]) == 0
     capsys.readouterr()
     assert main(["subdivide", "--action", path, "--times", "1"]) == 2
     err = capsys.readouterr().err
-    assert "--times: a table of 2 x 24 entries exceeds the maximum 24" in err
+    assert "--times: a table of 2 x 12 entries exceeds the maximum 12" in err
+
+
+def test_orbit_budget_exits_2_at_the_generators(tmp_path, monkeypatch, capsys):
+    # a swap of vertices 0 and 1 fixing the edge {2, 3}: its closure holds
+    # 2 x 4 vertex images, but the action's 7 simplices fall into 5 orbits,
+    # each keeping a stabilizer and a coset map over the 2 group elements
+    doc = {
+        "complex": {"vertices": 4, "maximal_simplices": [[0, 2], [1, 2], [2, 3]]},
+        "group": {"generators": {"swap": [1, 0, 2, 3]}},
+    }
+    path = write(tmp_path, "swap.json", doc)
+    monkeypatch.setattr(groups, "MAX_TABLE_ENTRIES", 10)
+    assert main(["compress", "--action", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(groups, "MAX_TABLE_ENTRIES", 8)
+    assert main(["compress", "--action", path]) == 2
+    err = capsys.readouterr().err
+    assert (
+        "$.group.generators: stabilizers of 5 orbits under a group of order 2 "
+        "exceed the maximum of 8 table entries" in err
+    )
 
 
 DEEP = b"[" * 100_000 + b"]" * 100_000
@@ -455,15 +506,24 @@ def _mutate(data, doc):
 
 _FUZZ_ACTION = action_to_doc(hexagon_antipodal_action())
 _FUZZ_TRIPLE = triple_to_doc(compress(hexagon_antipodal_action()))
+# the Klein four-group on the subdivided bow-tie: stabilizers of order 1, 2
+# and 4, so orbits, stabilizers and coset maps come from Schreier generators,
+# conjugation and cosets rather than from free orbits alone
+_FUZZ_STABILIZED_ACTION = action_to_doc(klein_four_bowtie_action(subdivisions=1))
+_FUZZ_STABILIZED_TRIPLE = triple_to_doc(compress(klein_four_bowtie_action(subdivisions=1)))
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_mutated_documents_exit_cleanly(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("fuzz")
+    action_commands = [["check-regular", "--action"], ["compress", "--action"]]
+    triple_commands = [["validate-triple", "--triple"], ["reconstruct", "--triple"]]
     for base, commands in (
-        (_FUZZ_ACTION, [["check-regular", "--action"], ["compress", "--action"]]),
-        (_FUZZ_TRIPLE, [["validate-triple", "--triple"], ["reconstruct", "--triple"]]),
+        (_FUZZ_ACTION, action_commands),
+        (_FUZZ_TRIPLE, triple_commands),
+        (_FUZZ_STABILIZED_ACTION, [*action_commands, ["roundtrip", "--action"]]),
+        (_FUZZ_STABILIZED_TRIPLE, triple_commands),
     ):
         doc = copy.deepcopy(base)
         for _ in range(data.draw(st.integers(1, 3))):

@@ -86,6 +86,20 @@ def test_tampered_reconstruction_fails():
         assert report.properties[name][1] is not None
 
 
+def test_labels_not_closed_under_the_label_action_fail_equivariance():
+    # label 0 copied over label 1: moving label 1's coset by a generator finds
+    # no simplex, and the verifier reports it instead of raising
+    action = hexagon_antipodal_action()
+    _, rc = roundtrip(action)
+    labels = list(rc.labels)
+    labels[1] = labels[0]
+    report = verify_roundtrip(action, ReconstructedComplex(rc.complex, labels, rc.triple))
+    assert not report.passed
+    ok, counterexample = report.properties["equivariant"]
+    assert not ok
+    assert counterexample["element"] in action.group.generators
+
+
 def test_quotient_identity():
     for name, action in regular_fixtures().items():
         for acted in (action, relabelled(action)[0]):
