@@ -9,15 +9,16 @@ requirement that makes the quotient a simplicial complex (without it a free
 rotation of a polygon boundary would collapse an edge onto a single vertex).
 
 An action keeps one simplex-image row per generator, tabulated from the
-generator's vertex permutation; no other element's row is built.  Whether the
-permutations respect the group's relations is checked once, on |G| vertex
-permutations that are dropped afterwards.  A breadth-first walk along the
-generator rows gives the orbits, numbered by their minimal member, and a
-transversal t[x] carrying each orbit's minimum to x.  The stabilizer of a
-minimum is closed from Schreier generators, and conjugating it by t[x] gives
-the stabilizer of x.  The elements carrying x to y form the coset
-t[y] * Stab(min) * t[x]^-1, and g * x is the point whose coset is
-g * t[x] * Stab(min) (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+generator's vertex permutation; no other element's row is built.  A
+breadth-first walk along the generator rows gives the orbits, numbered by
+their minimal member, and a transversal t[x] carrying each orbit's minimum to
+x.  The stabilizer of a minimum is closed from Schreier generators, and
+conjugating it by t[x] gives the stabilizer of x.  By orbit-stabilizer, vertex
+images given over a group from outside are an action of it exactly when each
+vertex orbit's stabilizer, so closed, has |G| / |orbit| elements.  The
+elements carrying x to y form the coset t[y] * Stab(min) * t[x]^-1, and g * x
+is the point whose coset is g * t[x] * Stab(min) (Seress, *Permutation Group
+Algorithms*, 2003, ch. 4).
 The orbit partition, ``GroupAction.orbit_ids``, drives both the regularity
 check and the quotient, and the quotient is computed once per action.
 Condition (2) compares orbit ids within each group of simplices with equal
@@ -67,7 +68,9 @@ class GroupAction:
     Vertex v is simplex v, so the generators' simplex rows hold their vertex
     images too.  Everything else is derived from those rows: the orbits with a
     transversal, the stabilizer of each orbit's minimum, and per orbit a map
-    from the cosets of that stabilizer to the orbit's points.
+    from the cosets of that stabilizer to the orbit's points.  Images that are
+    not an action of ``group`` raise ``NotAnAutomorphismError``; the
+    permutations the group was closed from are one by construction.
 
     ``orbit_ids`` holds the orbit id per simplex; orbits are numbered by their
     minimal member.  Vertices come first in canonical order, so the vertex
@@ -85,7 +88,6 @@ class GroupAction:
         self.generator_rows = [
             self._simplex_row(g, row) for g, row in zip(group.generators, self.generator_images)
         ]
-        group.check_homomorphism(self.generator_images, complex_.vertex_count)
         self.orbit_ids, self._transversal, self._orbits = self._walk_orbits()
         # each orbit holds a stabilizer of |G| / |orbit| elements and a coset
         # map of |G| entries once they are built
@@ -94,6 +96,8 @@ class GroupAction:
                 f"stabilizers of {len(self._orbits)} orbits under a group of order "
                 f"{group.order} exceed the maximum of {groups.MAX_TABLE_ENTRIES} table entries"
             )
+        if self.generator_images != group.generator_perms:
+            self._check_vertex_orbits()
 
     @classmethod
     def from_generator_perms(cls, generator_perms, complex_):
@@ -143,6 +147,44 @@ class GroupAction:
             orbits.append(members)
         return ids, transversal, orbits
 
+    def _check_vertex_orbits(self):
+        """Raise unless the vertex images are an action of the group.
+
+        The free group F on the generators acts on an orbit O by the images
+        and maps onto G, and the Schreier generators close to the image H of
+        Stab_F(min).  So |G| / |H| = [F : Stab_F(min) * ker] <= |O|, with
+        equality exactly when the normal subgroup ker fixes all of O.
+        """
+        for members in self._orbits:
+            if members[0] >= self.complex.vertex_count:
+                break  # vertices come first, so their orbits do too
+            if len(self._stabilizer_elements(members)) * len(members) != self.group.order:
+                raise NotAnAutomorphismError(
+                    "vertex tables are not compatible with the group multiplication"
+                )
+
+    def _stabilizer_elements(self, members, size=None):
+        """The subgroup generated by t[s*x]^-1 * s * t[x] over the orbit's points x
+        and the generators s, closed until it holds ``size`` elements.
+
+        By Schreier's lemma it is the stabilizer of the orbit's minimum, when
+        the generator rows are an action of the group.
+        """
+        group = self.group
+        mult, inverse, transversal = group._mult, group._inverse, self._transversal
+        steps = list(zip(group.generators, self.generator_rows))
+        elements, reached = [0], bytearray(group.order)
+        reached[0] = 1
+        for x in members:
+            if len(elements) == size:
+                break
+            t_x = transversal[x]
+            for s, row in steps:
+                g = mult[inverse[transversal[row[x]]]][mult[s][t_x]]
+                if not reached[g]:
+                    groups.extend_subgroup(mult, elements, reached, g)
+        return elements
+
     @cached_property
     def orbit_keys(self):
         """Per simplex, the sorted vertex orbits of its vertices."""
@@ -153,38 +195,14 @@ class GroupAction:
     def _stabilizers(self):
         """Per orbit, the stabilizer of its minimum, closed from Schreier generators.
 
-        By Schreier's lemma t[s*x]^-1 * s * t[x], over the orbit's points x and
-        the generators s, generate it; each closure stops once it holds
-        |G| / |orbit| elements, so a free orbit costs nothing.
+        Each closure stops once it holds |G| / |orbit| elements, so a free
+        orbit costs nothing.
         """
-        group = self.group
-        mult, inverse = group._mult, group._inverse
-        transversal = self._transversal
-        steps = list(zip(group.generators, self.generator_rows))
-        stabilizers = []
-        for members in self._orbits:
-            order = group.order // len(members)
-            generators = []
-            reached = {0}
-            for x in members:
-                if len(reached) == order:
-                    break
-                t_x = transversal[x]
-                for s, row in steps:
-                    g = mult[inverse[transversal[row[x]]]][mult[s][t_x]]
-                    if g in reached:
-                        continue
-                    generators.append(g)
-                    elements, reached = [0], {0}
-                    for a in elements:  # grows while walked
-                        row_a = mult[a]
-                        for b in generators:
-                            c = row_a[b]
-                            if c not in reached:
-                                reached.add(c)
-                                elements.append(c)
-            stabilizers.append(Subgroup(group, reached))
-        return stabilizers
+        order = self.group.order
+        return [
+            Subgroup(self.group, self._stabilizer_elements(members, order // len(members)))
+            for members in self._orbits
+        ]
 
     @cached_property
     def coset_points(self):

@@ -102,23 +102,14 @@ def cmd_subdivide(args):
 
 
 def cmd_quotient(args):
-    action = _load_action(args.complex, args.action)
-    try:
-        quotient_complex, orbit_map, _ = quotient(action)
-    except RegularityViolationError as exc:
-        _dump(exc.report.to_doc(), args.out)
-        return EXIT_MATH
+    quotient_complex, orbit_map, _ = quotient(_load_action(args.complex, args.action))
     _dump({"quotient": complex_to_doc(quotient_complex), "p": orbit_map}, args.out)
     return EXIT_OK
 
 
 def cmd_compress(args):
     action = _load_action(args.complex, args.action)
-    try:
-        triple = compress(action)
-    except RegularityViolationError as exc:
-        _dump(exc.report.to_doc(), args.out)
-        return EXIT_MATH
+    triple = compress(action)
     _dump(triple_to_doc(triple), args.out)
     total_index = sum(
         action.group.order // len(s) for s in triple.stabilizers
@@ -136,9 +127,6 @@ def cmd_reconstruct(args):
     triple = _load_triple(args.triple)
     try:
         rc = reconstruct(triple)
-    except TripleValidationError as exc:
-        _dump(exc.report.to_doc(), args.out)
-        return EXIT_MATH
     except ComplexTooLargeError as exc:
         raise FormatError(str(exc), "$.stabilizers") from exc
     _dump(
@@ -153,17 +141,7 @@ def cmd_reconstruct(args):
 
 def cmd_roundtrip(args):
     action = _load_action(args.complex, args.action)
-    try:
-        triple = compress(action)
-    except RegularityViolationError as exc:
-        _dump(exc.report.to_doc(), args.out)
-        return EXIT_MATH
-    try:
-        rc = reconstruct(triple)
-    except TripleValidationError as exc:
-        _dump(exc.report.to_doc(), args.out)
-        return EXIT_MATH
-    report = verify_roundtrip(action, rc)
+    report = verify_roundtrip(action, reconstruct(compress(action)))
     _dump(report.to_doc(), args.out)
     return EXIT_OK if report.passed else EXIT_MATH
 
@@ -255,7 +233,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except (RegularityViolationError, TripleValidationError) as exc:
+            _dump(exc.report.to_doc(), args.out)
+            return EXIT_MATH
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -4,29 +4,27 @@ Elements are referred to everywhere by their enumeration index: the identity
 is index 0 and the remaining indices follow breadth-first discovery order
 from the generating set, so the enumeration is deterministic for a fixed
 input.  The closure records each element times each generator; the
-multiplication table, and the vertex permutations an action's homomorphism
-check compares, are composed from that record along the discovery paths, and
-each subgroup reads its left-coset representatives from one table.
+multiplication table is composed from that record along the discovery paths.
+Every subgroup is closed by ``extend_subgroup``, one generator at a time, and
+reads its left-coset representatives from one table.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import FormatError, GroupTooLargeError, NotAnAutomorphismError
+from .errors import FormatError, GroupTooLargeError
 
 # The full multiplication table costs |G|^2 time and memory; at this order
 # building it takes seconds and up to about 300 MB.
 DEFAULT_MAX_ORDER = 4096
 
-# Bound on |G| times the number of points the group is closed from or acts on
-# by vertex permutations, and on |G| times the number of an action's orbits:
-# the closure holds |G| permutation tuples of its domain, an action's
-# homomorphism check holds |G| vertex permutations while it runs, and each
-# orbit keeps a stabilizer of |G| / |orbit| elements and a coset map of |G|
-# entries.  No table of |G| x |X| simplex images is built, and |G| times the
-# orbit count never exceeds it.  C_4096 acting on an 8192-cycle (4096 x 8192
-# vertex images) sits at the bound.
+# Bound on |G| times the number of points the group is closed from, and on
+# |G| times the number of an action's orbits: the closure holds |G|
+# permutation tuples of its domain, and each orbit keeps a stabilizer of
+# |G| / |orbit| elements and a coset map of |G| entries.  No table of |G| x |X|
+# simplex images or |G| x n vertex images is built.  C_4096 acting on an
+# 8192-cycle (4096 permutations of 8192 points) sits at the bound.
 MAX_TABLE_ENTRIES = 1 << 25
 
 
@@ -61,36 +59,6 @@ class FiniteGroup:
             self._mult.append(row)
         self._inverse = [row.index(0) for row in self._mult]
 
-    def check_homomorphism(self, generator_perms, degree):
-        """Raise unless one permutation of 0..degree-1 per generator extends to G.
-
-        Element h = parent(h)*s gets the permutation x -> perm[parent(h)][perm[s][x]];
-        the Cayley-graph edges g -> g*s off the discovery tree must then agree
-        with it.  The |G| permutations are dropped on return.  The permutations
-        the group was closed from pass at once: the group's elements are their
-        products.
-        """
-        if generator_perms == self.generator_perms:
-            return
-        if self.order * degree > MAX_TABLE_ENTRIES:
-            raise GroupTooLargeError(
-                f"a table of {self.order} x {degree} entries exceeds the maximum "
-                f"{MAX_TABLE_ENTRIES}"
-            )
-        parents, last_generators = self._parents, self._last_generators
-        perms = [list(range(degree))]
-        for h in range(1, self.order):
-            parent_perm = perms[parents[h]]
-            perms.append([parent_perm[x] for x in generator_perms[last_generators[h]]])
-        for g, perm in enumerate(perms):
-            for i, h in enumerate(self._right[g]):
-                if h and parents[h] == g and last_generators[h] == i:
-                    continue  # perms[h] was composed along this edge
-                if perms[h] != [perm[x] for x in generator_perms[i]]:
-                    raise NotAnAutomorphismError(
-                        "vertex tables are not compatible with the group multiplication"
-                    )
-
     def prod(self, g, h):
         """Index of the product g*h."""
         if self.op_counts is not None:
@@ -124,6 +92,26 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, generators={self.generators})"
 
 
+def extend_subgroup(mult, elements, reached, g):
+    """Grow the subgroup listed in ``elements`` to the one g joins it in, in place.
+
+    ``reached[h]`` flags the members of ``elements`` and is set for each
+    element added.  The new subgroup is a union of left cosets c*H of the old
+    one, H, and a union of left cosets of H closed under right multiplication
+    by g is closed under <H, g>: so each member, old or added, is multiplied
+    by g alone, and each product not reached yet brings in its coset of H.
+    """
+    subgroup = elements[:]
+    for a in elements:  # grows while walked
+        c = mult[a][g]
+        if not reached[c]:
+            row = mult[c]
+            for h in subgroup:
+                b = row[h]
+                reached[b] = 1
+                elements.append(b)
+
+
 class Subgroup:
     """A subgroup stored as a sorted member list plus a membership bitmask.
 
@@ -141,26 +129,15 @@ class Subgroup:
                 raise ValueError(f"element index {g} out of range")
             mask |= 1 << g
         self.mask = mask
-        # Grow the subgroup the members generate, taking a member as a new
-        # generator whenever it is not reached yet; every element reached must
-        # be a member.  A finite set closed under products is a subgroup.
-        reached = bytearray(group.order)
+        # The subgroup the members generate holds them all; they form a
+        # subgroup exactly when it holds nothing else.
+        closure, reached = [0], bytearray(group.order)
         reached[0] = 1
-        closure = [0]
-        generators = []
         for g in self.elements:
-            if reached[g]:
-                continue
-            generators.append(g)
-            for a in closure:  # grows while walked
-                row = group._mult[a]
-                for s in generators:
-                    b = row[s]
-                    if not reached[b]:
-                        if not (mask >> b) & 1:
-                            raise ValueError("subgroup not closed under multiplication")
-                        reached[b] = 1
-                        closure.append(b)
+            if not reached[g]:
+                extend_subgroup(group._mult, closure, reached, g)
+                if len(closure) > len(self.elements):
+                    raise ValueError("subgroup not closed under multiplication")
 
     @cached_property
     def coset_reps(self):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicompress.actions import (
     DISTINCT_VERTEX_ORBITS,
@@ -34,7 +36,7 @@ from equicompress.families import (
 )
 from equicompress.groups import enumerate_from_generators
 
-from reference_actions import ReferenceAction
+from reference_actions import ReferenceAction, reference_compose_rows
 from relabel import relabelled
 
 
@@ -55,6 +57,73 @@ def test_rejects_generator_images_breaking_a_relation():
     c2 = enumerate_from_generators([[1, 0]], 2)
     with pytest.raises(NotAnAutomorphismError, match="not compatible"):
         GroupAction(c2, triangle_complex(), [[1, 2, 0]])
+
+
+def test_rejects_an_orbit_longer_than_the_group():
+    # C_2 acting by a 4-cycle breaks s*s = e, yet every Schreier generator
+    # t[s*x]^-1 * s * t[x] is trivial: only |Stab| * |orbit| = 4 != 2 shows it
+    c2 = enumerate_from_generators([[1, 0]], 2)
+    vertices = build_complex([], vertex_count=4)
+    with pytest.raises(NotAnAutomorphismError, match="not compatible"):
+        reference_compose_rows(c2, [[1, 2, 3, 0]], 4)
+    with pytest.raises(NotAnAutomorphismError, match="not compatible"):
+        GroupAction(c2, vertices, [[1, 2, 3, 0]])
+
+
+@st.composite
+def images_over_a_group(draw):
+    """A permutation group of degree at most 5 and one vertex permutation per generator.
+
+    The images are random (mostly not an action, often with orbits longer
+    than the group), or an action: the closing permutations relabelled and
+    padded with fixed points, the induced action on ordered pairs, or the
+    left-regular action; an action has two images of one generator swapped
+    half of the time.
+    """
+    d = draw(st.integers(1, 5))
+    perms = draw(st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+    group = enumerate_from_generators(perms, d)
+    kind = draw(st.sampled_from(["random", "relabelled", "pairs", "regular"]))
+    if kind == "random":
+        n = draw(st.integers(1, 8))
+        return group, n, [draw(st.permutations(range(n))) for _ in perms]
+    if kind == "relabelled":
+        n = d + draw(st.integers(0, 3))
+        name = draw(st.permutations(range(n)))
+        images = []
+        for perm in perms:
+            row = [0] * n
+            for v in range(n):
+                row[name[v]] = name[perm[v] if v < d else v]
+            images.append(row)
+    elif kind == "pairs":
+        n = d * d
+        images = [[perm[i] * d + perm[j] for i in range(d) for j in range(d)] for perm in perms]
+    else:
+        n = group.order
+        images = [list(group._mult[s]) for s in group.generators]
+    if draw(st.booleans()):
+        row = images[draw(st.integers(0, len(images) - 1))]
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        row[u], row[v] = row[v], row[u]
+    return group, n, images
+
+
+def _is_action(build):
+    try:
+        build()
+    except NotAnAutomorphismError:
+        return False
+    return True
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(images_over_a_group())
+def test_action_check_matches_the_composition_along_the_cayley_graph(case):
+    group, n, images = case
+    vertices = build_complex([], vertex_count=n)
+    expected = _is_action(lambda: reference_compose_rows(group, images, n))
+    assert _is_action(lambda: GroupAction(group, vertices, images)) == expected
 
 
 def test_rejects_wrong_number_of_generator_images():

@@ -19,6 +19,7 @@ from equicompress.complexes import build_complex, complex_to_doc, subdivision_si
 from equicompress.compress import compress
 from equicompress.families import (
     cycle_complex,
+    cycle_rotation_action,
     hexagon_antipodal_action,
     klein_four_bowtie_action,
     trivial_action,
@@ -254,6 +255,14 @@ def test_unwritable_out_exits_2(tmp_path, capsys, hexagon_action_file):
     assert f"cannot write {out}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["quotient", "compress", "roundtrip"])
+def test_unwritable_out_of_an_irregular_action_exits_2(tmp_path, capsys, command):
+    bowtie = write(tmp_path, "bowtie.json", action_to_doc(klein_four_bowtie_action()))
+    out = str(tmp_path / "missing-dir" / "report.json")
+    assert main([command, "--action", bowtie, "--out", out]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
 def test_bench_csv(tmp_path, capsys):
     assert main(["bench", "--family", "cycle", "--orders", "2,3"]) == 0
     out = capsys.readouterr().out
@@ -286,7 +295,8 @@ def test_bench_rejects_bad_sizes(argv, capsys):
 
 
 def run_cli(argv, address_space=1 << 30):
-    """Run the CLI in a fresh process with 1 GiB of address space, or the bytes given."""
+    """Run the CLI in a fresh process with 1 GiB of address space, the bytes
+    given, or no limit for None."""
     src = str(Path(equicompress.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -297,7 +307,7 @@ def run_cli(argv, address_space=1 << 30):
     return subprocess.run(
         [sys.executable, "-m", "equicompress.cli", *argv],
         env=env,
-        preexec_fn=limit_memory,
+        preexec_fn=None if address_space is None else limit_memory,
         capture_output=True,
         text=True,
         timeout=60,
@@ -358,6 +368,27 @@ def test_roundtrip_of_a_large_group_holds_no_table_per_element(tmp_path):
     assert json.loads(Path(out).read_text())["passed"] is True
 
 
+def test_subdivision_of_a_large_group_holds_no_vertex_table_per_element(tmp_path):
+    # C_2048 rotating an 8192-cycle: composing every element's images of the
+    # subdivision's 16,384 vertices ends in a MemoryError in 256 MiB of
+    # address space, the check on the stabilizers passes
+    n = 8192
+    doc = {
+        "complex": complex_to_doc(cycle_complex(n)),
+        "group": {"generators": {"shift": [(v + 4) % n for v in range(n)]}},
+    }
+    path = write(tmp_path, "big.json", doc)
+    outputs = {}
+    for name, address_space in (("limited", 256 << 20), ("unlimited", None)):
+        outputs[name] = tmp_path / f"{name}.json"
+        result = run_cli(
+            ["subdivide", "--action", path, "--times", "1", "--out", str(outputs[name])],
+            address_space=address_space,
+        )
+        assert result.returncode == 0, result.stderr
+    assert outputs["limited"].read_bytes() == outputs["unlimited"].read_bytes()
+
+
 def test_oversized_reconstruction_exits_2_before_listing_labels(tmp_path):
     # 2,048 isolated vertex classes with trivial stabilizers under C_4096: a
     # small triple whose reconstruction has 2,048 x 4,096 vertices; listing
@@ -380,16 +411,30 @@ def test_oversized_reconstruction_exits_2_before_listing_labels(tmp_path):
     )
 
 
-def test_vertex_budget_of_an_induced_action_exits_2(tmp_path, monkeypatch, capsys):
+def test_orbit_budget_of_an_induced_action_exits_2(tmp_path, monkeypatch, capsys):
     # the antipodal hexagon action permutes 6 vertices, 2 x 6 entries in its
-    # closure and homomorphism check; its subdivision permutes 12, 2 x 12
+    # closure, in 6 orbits; its subdivision's 24 simplices fall into 12, 2 x 12
     monkeypatch.setattr(groups, "MAX_TABLE_ENTRIES", 12)
     path = write(tmp_path, "hexagon.json", action_to_doc(hexagon_antipodal_action()))
     assert main(["check-regular", "--action", path]) == 0
     capsys.readouterr()
     assert main(["subdivide", "--action", path, "--times", "1"]) == 2
     err = capsys.readouterr().err
-    assert "--times: a table of 2 x 12 entries exceeds the maximum 12" in err
+    assert (
+        "--times: stabilizers of 12 orbits under a group of order 2 "
+        "exceed the maximum of 12 table entries" in err
+    )
+
+
+def test_induced_action_within_the_orbit_budget_subdivides(tmp_path, monkeypatch, capsys):
+    # C_4 rotating a 16-cycle: its subdivision permutes 32 vertices, 4 x 32
+    # entries over the budget of 100, but its 64 simplices fall into 16
+    # orbits, 4 x 16 entries within it
+    monkeypatch.setattr(groups, "MAX_TABLE_ENTRIES", 100)
+    path = write(tmp_path, "cycle.json", action_to_doc(cycle_rotation_action(4)))
+    out = tmp_path / "sd1.json"
+    assert main(["subdivide", "--action", path, "--times", "1", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["group"]["generators"]["g0"]) == 32
 
 
 def test_orbit_budget_exits_2_at_the_generators(tmp_path, monkeypatch, capsys):

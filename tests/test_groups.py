@@ -12,6 +12,7 @@ from equicompress.groups import (
     FiniteGroup,
     Subgroup,
     enumerate_from_generators,
+    extend_subgroup,
     group_from_doc,
     group_to_doc,
     uniqsort,
@@ -151,6 +152,24 @@ def test_subgroup_validation_matches_brute_force():
     verdicts = [subgroup_verdict(g, m) for g, m in cases]
     assert verdicts == [brute_force_is_subgroup(g, m) for g, m in cases]
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_extend_subgroup_matches_the_closure_under_products():
+    rng = random.Random(10)
+    s4 = enumerate_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]], 4)
+    for _ in range(300):
+        generators = rng.choices(range(24), k=rng.randrange(1, 4))
+        elements, reached = [0], bytearray(24)
+        reached[0] = 1
+        for k, g in enumerate(generators):
+            extend_subgroup(s4._mult, elements, reached, g)
+            closure = [0]
+            for a in closure:  # grows while walked
+                for s in generators[: k + 1]:
+                    if s4.prod(a, s) not in closure:
+                        closure.append(s4.prod(a, s))
+            assert sorted(elements) == sorted(closure), generators[: k + 1]
+            assert [h for h in range(24) if reached[h]] == sorted(closure)
 
 
 def test_max_order_guard():
