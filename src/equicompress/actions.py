@@ -41,7 +41,7 @@ from .errors import (
     NotAnAutomorphismError,
     RegularityViolationError,
 )
-from .groups import Subgroup, enumerate_from_generators
+from .groups import enumerate_from_generators
 
 POINTWISE_FIX = "pointwise-fix"
 ORBIT_CLOSURE = "orbit-closure"
@@ -196,11 +196,12 @@ class GroupAction:
         """Per orbit, the stabilizer of its minimum, closed from Schreier generators.
 
         Each closure stops once it holds |G| / |orbit| elements, so a free
-        orbit costs nothing.
+        orbit costs nothing and a one-point orbit, fixed by all of G, none.
         """
-        order = self.group.order
+        group, full = self.group, self.group.full_subgroup()
         return [
-            Subgroup(self.group, self._stabilizer_elements(members, order // len(members)))
+            group.subgroup(self._stabilizer_elements(members, group.order // len(members)))
+            if len(members) > 1 else full
             for members in self._orbits
         ]
 
@@ -233,7 +234,7 @@ class GroupAction:
             return stabilizer
         mult = self.group._mult
         row_t, t_inv = mult[t], self.group._inverse[t]
-        return Subgroup(self.group, [mult[row_t[h]][t_inv] for h in stabilizer.elements])
+        return self.group.subgroup([mult[row_t[h]][t_inv] for h in stabilizer.elements])
 
     def trans(self, sid, target):
         """Enumeration-minimal g with g*sid = target, or None.

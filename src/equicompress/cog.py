@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .actions import quotient
 from .complexes import complex_from_doc, complex_to_doc, complexes_equal
 from .errors import FormatError
-from .groups import Subgroup, group_from_doc, group_to_doc
+from .groups import group_from_doc, group_to_doc
 
 
 @dataclass
@@ -108,7 +108,7 @@ def validate_against_action(triple, action):
 
     violations = []
     for y, lift in enumerate(lifts):
-        if action.stab(lift) != triple.stabilizers[y]:
+        if action.stab(lift).elements != triple.stabilizers[y].elements:
             violations.append(f"stabilizer of class {y} differs from the lift's stabilizer")
 
     for (parent, child), g in sorted(triple.transfers.items()):
@@ -165,7 +165,7 @@ def triple_from_doc(doc, location="$"):
         if len(set(members)) != len(members):
             raise FormatError("subgroup lists an element index twice", where)
         try:
-            stabilizers.append(Subgroup(group, members))
+            stabilizers.append(group.subgroup(members))
         except ValueError as exc:
             raise FormatError(str(exc), where) from exc
 

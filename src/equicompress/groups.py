@@ -5,8 +5,8 @@ is index 0 and the remaining indices follow breadth-first discovery order
 from the generating set, so the enumeration is deterministic for a fixed
 input.  The closure records each element times each generator; the
 multiplication table is composed from that record along the discovery paths.
-Every subgroup is closed by ``extend_subgroup``, one generator at a time, and
-reads its left-coset representatives from one table.
+A group keeps one ``Subgroup`` per member set, its closure checked once by
+``extend_subgroup``; membership and left cosets are read from its coset table.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ class FiniteGroup:
                 row[h] = right[row[parents[h]]][last_generators[h]]
             self._mult.append(row)
         self._inverse = [row.index(0) for row in self._mult]
+        self._subgroups = {}  # sorted members -> the one Subgroup with those members
 
     def prod(self, g, h):
         """Index of the product g*h."""
@@ -77,11 +78,19 @@ class FiniteGroup:
             self.op_counts["minrep"] += 1
         return subgroup.coset_reps[g]
 
+    def subgroup(self, members):
+        """The one ``Subgroup`` with these members, checked when first built."""
+        key = tuple(uniqsort(members))
+        subgroup = self._subgroups.get(key)
+        if subgroup is None:
+            subgroup = self._subgroups[key] = Subgroup(self, key)
+        return subgroup
+
     def trivial_subgroup(self):
-        return Subgroup(self, [0])
+        return self.subgroup([0])
 
     def full_subgroup(self):
-        return Subgroup(self, range(self.order))
+        return self.subgroup(range(self.order))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
@@ -113,22 +122,19 @@ def extend_subgroup(mult, elements, reached, g):
 
 
 class Subgroup:
-    """A subgroup stored as a sorted member list plus a membership bitmask.
+    """A subgroup as a sorted member list, shared: no caller may mutate ``elements``.
 
+    It holds the group's table, not the group, so the two form no cycle.
     ``coset_reps[g]``, built on first use, is the minimal element of g*H.
     """
 
     def __init__(self, group, members):
-        self.group = group
+        self._mult = group._mult
         self.elements = uniqsort(members)
         if not self.elements or self.elements[0] != 0:
             raise ValueError("subgroup must contain the identity")
-        mask = 0
-        for g in self.elements:
-            if not 0 <= g < group.order:
-                raise ValueError(f"element index {g} out of range")
-            mask |= 1 << g
-        self.mask = mask
+        if self.elements[-1] >= group.order:
+            raise ValueError(f"element index {self.elements[-1]} out of range")
         # The subgroup the members generate holds them all; they form a
         # subgroup exactly when it holds nothing else.
         closure, reached = [0], bytearray(group.order)
@@ -142,8 +148,8 @@ class Subgroup:
     @cached_property
     def coset_reps(self):
         # walking G upwards, the first element met in each coset is its minimum
-        reps = [None] * self.group.order
-        for g, row in enumerate(self.group._mult):
+        reps = [None] * len(self._mult)
+        for g, row in enumerate(self._mult):
             if reps[g] is None:
                 for h in self.elements:
                     reps[row[h]] = g
@@ -153,12 +159,12 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, g):
-        return bool((self.mask >> g) & 1)
+        return self.coset_reps[g] == 0
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.group is other.group and self.mask == other.mask
+        return self._mult is other._mult and self.elements == other.elements
 
     def __repr__(self):
         return f"Subgroup({self.elements})"

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,38 @@ def test_validate_passes_on_compress_output():
         triple = compress(action)
         assert validate_triple(triple).valid, name
         assert validate_against_action(triple, action).valid, name
+        # a parsed copy is over an equal group that is another object
+        parsed = triple_from_doc(triple_to_doc(triple))
+        assert validate_against_action(parsed, action).valid, name
+
+
+def test_each_distinct_stabilizer_is_one_object():
+    fixed_points = 0
+    for name, action in regular_fixtures().items():
+        triple = compress(action)
+        parsed = triple_from_doc(triple_to_doc(triple))
+        for stabilizers in (triple.stabilizers, parsed.stabilizers):
+            by_members = {}
+            for s in stabilizers:
+                assert by_members.setdefault(tuple(s.elements), s) is s, name
+        sizes = Counter(action.orbit_ids)
+        for sid, oid in enumerate(action.orbit_ids):
+            if sizes[oid] == 1:
+                assert action.stab(sid) is action.group.full_subgroup(), (name, sid)
+                fixed_points += action.group.order > 1
+    assert fixed_points
+
+
+def test_first_unclosed_stabilizer_is_named():
+    triple = compress(regular_fixtures()["dihedral-3"])
+    group = triple.group
+    rotation = next(g for g in range(group.order) if group.prod(g, g) not in (0, g))
+    doc = triple_to_doc(triple)
+    doc["stabilizers"][2] = doc["stabilizers"][4] = [0, rotation]
+    for _ in range(2):  # a refused member set is not kept
+        with pytest.raises(FormatError) as exc:
+            triple_from_doc(doc)
+        assert str(exc.value) == "$.stabilizers[2]: subgroup not closed under multiplication"
 
 
 def test_corrupted_transfer_is_caught():

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -117,6 +118,15 @@ def brute_force_is_subgroup(g, members):
     return 0 in members and all(g.prod(a, b) in members for a in members for b in members)
 
 
+def error_message(build, members):
+    """The ValueError message building a subgroup of ``members`` raises, or None."""
+    try:
+        build(members)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def subgroup_verdict(g, members):
     try:
         Subgroup(g, members)
@@ -152,6 +162,10 @@ def test_subgroup_validation_matches_brute_force():
     verdicts = [subgroup_verdict(g, m) for g, m in cases]
     assert verdicts == [brute_force_is_subgroup(g, m) for g, m in cases]
     assert 0 < sum(verdicts) < len(verdicts)
+    # the interned constructor gives the same verdicts with the same messages
+    assert [error_message(g.subgroup, m) for g, m in cases] == [
+        error_message(partial(Subgroup, g), m) for g, m in cases
+    ]
 
 
 def test_extend_subgroup_matches_the_closure_under_products():
