@@ -84,7 +84,6 @@ class GroupAction:
         self.group = group
         self.complex = complex_
         self.generator_images = [tuple(row) for row in generator_images]
-        self.op_counts = None
         self.generator_rows = [
             self._simplex_row(g, row) for g, row in zip(group.generators, self.generator_images)
         ]
@@ -226,8 +225,6 @@ class GroupAction:
 
     def stab(self, sid):
         """Setwise stabilizer subgroup of a simplex: t[sid] * Stab(min) * t[sid]^-1."""
-        if self.op_counts is not None:
-            self.op_counts["stab"] += 1
         stabilizer = self._stabilizers[self.orbit_ids[sid]]
         t = self._transversal[sid]
         if t == 0:
@@ -241,8 +238,6 @@ class GroupAction:
 
         Those g form the coset t[target] * Stab(min) * t[sid]^-1.
         """
-        if self.op_counts is not None:
-            self.op_counts["trans"] += 1
         if sid == target:
             return 0
         oid = self.orbit_ids[sid]

@@ -40,15 +40,29 @@ CSV_COLUMNS = (
 
 
 def counted(action, fn):
-    """Run fn with fresh counters on the action and its group; return counts."""
+    """Run fn counting the SUBROUTINES calls on the action and its group; return counts.
+
+    Each method is wrapped on the instance for the duration of fn only.
+    """
     counts = Counter()
-    action.group.op_counts = counts
-    action.op_counts = counts
+
+    def tally(name, method):
+        def wrapper(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    hooked = [
+        (obj, name) for obj in (action.group, action) for name in SUBROUTINES if hasattr(obj, name)
+    ]
+    for obj, name in hooked:
+        setattr(obj, name, tally(name, getattr(obj, name)))
     try:
         out = fn()
     finally:
-        action.group.op_counts = None
-        action.op_counts = None
+        for obj, name in hooked:
+            delattr(obj, name)
     return out, counts
 
 

@@ -54,7 +54,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: decode errors, over-long integers
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 

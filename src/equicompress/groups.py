@@ -46,7 +46,6 @@ class FiniteGroup:
         self.order = len(right)
         self.generators = list(generator_indices)
         self.generator_perms = generator_perms
-        self.op_counts = None
         self._right = right
         self._parents = parents
         self._last_generators = last_generators
@@ -62,20 +61,14 @@ class FiniteGroup:
 
     def prod(self, g, h):
         """Index of the product g*h."""
-        if self.op_counts is not None:
-            self.op_counts["prod"] += 1
         return self._mult[g][h]
 
     def inv(self, g):
         """Index of the inverse of g."""
-        if self.op_counts is not None:
-            self.op_counts["inv"] += 1
         return self._inverse[g]
 
     def minrep(self, subgroup, g):
         """Enumeration-minimal element of the left coset g*H."""
-        if self.op_counts is not None:
-            self.op_counts["minrep"] += 1
         return subgroup.coset_reps[g]
 
     def subgroup(self, members):
@@ -170,7 +163,7 @@ class Subgroup:
         return f"Subgroup({self.elements})"
 
 
-def enumerate_from_generators(generators, domain_size, max_order=DEFAULT_MAX_ORDER):
+def enumerate_from_generators(generators, domain_size):
     """Close a list of permutations under composition, breadth first.
 
     Each generator must be a bijection on 0..domain_size-1.  The identity is
@@ -199,9 +192,9 @@ def enumerate_from_generators(generators, domain_size, max_order=DEFAULT_MAX_ORD
             h = seen.get(new)
             if h is None:
                 h = len(perms)
-                if h >= max_order:
+                if h >= DEFAULT_MAX_ORDER:
                     raise GroupTooLargeError(
-                        f"generator closure exceeds maximum order {max_order}"
+                        f"generator closure exceeds maximum order {DEFAULT_MAX_ORDER}"
                     )
                 if (h + 1) * domain_size > MAX_TABLE_ENTRIES:
                     raise GroupTooLargeError(

@@ -64,11 +64,6 @@ def reconstruct(triple):
             for child in quotient.faces_codim1[y]:
                 pulled = group.prod(g, group.inv(triple.transfer(y, child)))
                 attached.append((child, group.minrep(triple.stabilizers[child], pulled)))
-            if len(attached) != d + 1 or len(set(attached)) != d + 1:
-                raise ReconstructionIntegrityError(
-                    f"simplex {label} attached {len(attached)} facets, "
-                    f"expected {d + 1} distinct ones"
-                )
             union = set()
             for facet in attached:
                 union.update(vertex_sets[facet])

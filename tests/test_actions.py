@@ -52,6 +52,13 @@ def test_rejects_non_permutation():
         GroupAction.from_generator_perms([[0, 0, 1]], triangle_complex())
 
 
+def test_rejects_vertex_images_that_are_not_a_permutation():
+    # the group is closed from a 3-cycle; the images given send two vertices to 0
+    c3 = enumerate_from_generators([[1, 2, 0]], 3)
+    with pytest.raises(NotAnAutomorphismError, match="does not permute the vertices"):
+        GroupAction(c3, triangle_complex(), [[0, 0, 1]])
+
+
 def test_rejects_generator_images_breaking_a_relation():
     # C_2, closed from a transposition, cannot act by a 3-cycle: s*s = e fails
     c2 = enumerate_from_generators([[1, 0]], 2)

@@ -1,11 +1,14 @@
 import math
+from collections import Counter
 
 import pytest
 
 from equicompress.bench import (
     CSV_COLUMNS,
     FAMILIES,
+    SUBROUTINES,
     bench_one,
+    counted,
     fit_exponent,
     growth_exponents,
     rows_to_csv,
@@ -53,6 +56,32 @@ def test_every_compress_repeat_starts_from_a_fresh_action(monkeypatch):
     assert built == [4, 4, 4]
     untimed = [key for key in row if not key.endswith("_seconds")]
     assert [row[key] for key in untimed] == [once[key] for key in untimed]
+
+
+def call_each_subroutine(action):
+    group = action.group
+    group.prod(1, 1)
+    group.inv(1)
+    group.minrep(group.trivial_subgroup(), 1)
+    action.stab(0)
+    action.trans(0, 1)
+
+
+def test_counted_counts_each_call_and_leaves_no_hook_behind():
+    action = FAMILIES["cycle"](3)
+    _, counts = counted(action, lambda: call_each_subroutine(action))
+    assert counts == Counter(dict.fromkeys(SUBROUTINES, 1))
+
+    def fail():
+        call_each_subroutine(action)
+        raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        counted(action, fail)
+    for obj in (action.group, action):
+        assert not set(SUBROUTINES) & set(vars(obj))
+    call_each_subroutine(action)
+    assert counts == Counter(dict.fromkeys(SUBROUTINES, 1))
 
 
 def test_single_order_run_gives_one_row():

@@ -459,6 +459,8 @@ def test_orbit_budget_exits_2_at_the_generators(tmp_path, monkeypatch, capsys):
 
 
 DEEP = b"[" * 100_000 + b"]" * 100_000
+# an integer literal past the 4,300 digits json.load converts
+LONG_INTEGER = b'{"vertices": ' + b"9" * 5_000 + b', "maximal_simplices": []}'
 NOT_UTF8 = b'{"group": {"generators": {}}, "\xff": 0}'
 # C_2 acting on a point, its stabilizer listing each element twice
 REPEATED_ELEMENTS = json.dumps(
@@ -481,6 +483,8 @@ REPEATED_ELEMENTS = json.dumps(
         (["check-regular", "--action"], DEEP),
         (["reconstruct", "--triple"], DEEP),
         (["reconstruct", "--triple"], REPEATED_ELEMENTS),
+        (["check-regular", "--action"], LONG_INTEGER),
+        (["reconstruct", "--triple"], LONG_INTEGER),
         # C_4097 rotating a wheel: the closure passes the order cap
         (["bench", "--family", "simplex-rotation", "--orders", "4097"], None),
     ],
@@ -492,6 +496,8 @@ REPEATED_ELEMENTS = json.dumps(
         "action-deep",
         "triple-deep",
         "triple-repeated-stabilizer-element",
+        "action-long-integer",
+        "triple-long-integer",
         "bench-order-cap",
     ],
 )
@@ -504,6 +510,25 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, content):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
+
+
+def test_reconstruct_of_a_triple_failing_assembly_exits_1(tmp_path, capsys):
+    # a shrunken stabilizer passes the algebraic checks but doubles a fiber,
+    # so two labels collapse onto one vertex set during assembly
+    triple = compress(klein_four_bowtie_action(subdivisions=2))
+    y = next(
+        i
+        for i, s in enumerate(triple.stabilizers)
+        if triple.quotient.simplex_dim(i) == 1 and len(s) == 2
+    )
+    triple.stabilizers[y] = triple.group.trivial_subgroup()
+    path = write(tmp_path, "shrunk.json", triple_to_doc(triple))
+    assert main(["validate-triple", "--triple", path]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--triple", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: two labels span the same vertex set\n"
 
 
 # Any JSON value a mutation can put in place of a field.  Integers stay small or

@@ -12,7 +12,12 @@ from equicompress.cog import (
 )
 from equicompress.compress import compress
 from equicompress.errors import FormatError
-from equicompress.families import cycle_complex, hexagon_antipodal_action, regular_fixtures
+from equicompress.families import (
+    cycle_complex,
+    cycle_rotation_action,
+    hexagon_antipodal_action,
+    regular_fixtures,
+)
 from equicompress.groups import Subgroup
 
 
@@ -71,6 +76,20 @@ def test_triple_over_another_quotient_is_reported():
     square = GroupAction.from_generator_perms([[4, 5, 6, 7, 0, 1, 2, 3]], cycle_complex(8))
     report = validate_against_action(compress(hexagon_antipodal_action()), square)
     assert report.violations == ["triple's quotient is not the action's quotient"]
+
+
+def test_triple_over_another_group_is_reported():
+    # C_2 on the hexagon against C_3 on the triangle
+    report = validate_against_action(compress(hexagon_antipodal_action()), cycle_rotation_action(3))
+    assert report.violations == ["triple and action use different groups"]
+
+
+def test_stabilizer_map_of_the_wrong_length_is_reported():
+    triple = compress(hexagon_antipodal_action())
+    n = len(triple.quotient)
+    triple.stabilizers.pop()
+    report = validate_triple(triple)
+    assert report.violations == [f"stabilizer map covers {n - 1} of {n} simplices"]
 
 
 def test_path_independence_violation_is_caught():

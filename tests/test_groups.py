@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equicompress import groups
 from equicompress.actions import GroupAction
 from equicompress.complexes import build_complex
 from equicompress.errors import FormatError, GroupTooLargeError
@@ -186,9 +187,17 @@ def test_extend_subgroup_matches_the_closure_under_products():
             assert [h for h in range(24) if reached[h]] == sorted(closure)
 
 
-def test_max_order_guard():
-    with pytest.raises(GroupTooLargeError):
-        enumerate_from_generators([[1, 2, 3, 4, 0]], 5, max_order=3)
+def test_max_order_guard(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 3)
+    with pytest.raises(GroupTooLargeError, match="maximum order 3"):
+        enumerate_from_generators([[1, 2, 3, 4, 0]], 5)
+
+
+def test_subgroup_rejects_an_index_past_the_group():
+    g = klein_four()
+    with pytest.raises(ValueError, match="element index 4 out of range"):
+        g.subgroup([0, g.order])
+    assert g.subgroup([0, 1]).elements == [0, 1]  # the refused set is not kept
 
 
 def test_doc_roundtrip_preserves_enumeration():

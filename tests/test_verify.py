@@ -288,6 +288,12 @@ def test_isomorphism_rejects_different_shapes():
     assert find_equivariant_isomorphism(a, b) is None
 
 
+def test_isomorphism_rejects_actions_of_different_groups():
+    # C_2 on the hexagon against C_3 on the triangle
+    with pytest.raises(InputMismatchError, match="actions use different groups"):
+        find_equivariant_isomorphism(hexagon_antipodal_action(), cycle_rotation_action(3))
+
+
 def test_isomorphism_rejects_incompatible_action():
     # same complex, same group, different actions: antipodal vs reflection
     antipodal = hexagon_antipodal_action()
