@@ -13,8 +13,8 @@ generator's vertex permutation; no other element's row is built.  A
 breadth-first walk along the generator rows gives the orbits, numbered by
 their minimal member, and a transversal t[x] carrying each orbit's minimum to
 x.  The stabilizer of a minimum is closed from Schreier generators, and
-conjugating it by t[x] gives the stabilizer of x.  By orbit-stabilizer, vertex
-images given over a group from outside are an action of it exactly when each
+conjugating it by t[x] gives the stabilizer of x.  By orbit-stabilizer, the
+vertex images are an action of the group exactly when each
 vertex orbit's stabilizer, so closed, has |G| / |orbit| elements.  The
 elements carrying x to y form the coset t[y] * Stab(min) * t[x]^-1, and g * x
 is the point whose coset is g * t[x] * Stab(min) (Seress, *Permutation Group
@@ -69,8 +69,7 @@ class GroupAction:
     images too.  Everything else is derived from those rows: the orbits with a
     transversal, the stabilizer of each orbit's minimum, and per orbit a map
     from the cosets of that stabilizer to the orbit's points.  Images that are
-    not an action of ``group`` raise ``NotAnAutomorphismError``; the
-    permutations the group was closed from are one by construction.
+    not an action of ``group`` raise ``NotAnAutomorphismError``.
 
     ``orbit_ids`` holds the orbit id per simplex; orbits are numbered by their
     minimal member.  Vertices come first in canonical order, so the vertex
@@ -83,9 +82,8 @@ class GroupAction:
             raise NotAnAutomorphismError("one vertex permutation required per generator")
         self.group = group
         self.complex = complex_
-        self.generator_images = [tuple(row) for row in generator_images]
         self.generator_rows = [
-            self._simplex_row(g, row) for g, row in zip(group.generators, self.generator_images)
+            self._simplex_row(g, row) for g, row in zip(group.generators, generator_images)
         ]
         self.orbit_ids, self._transversal, self._orbits = self._walk_orbits()
         # each orbit holds a stabilizer of |G| / |orbit| elements and a coset
@@ -95,8 +93,7 @@ class GroupAction:
                 f"stabilizers of {len(self._orbits)} orbits under a group of order "
                 f"{group.order} exceed the maximum of {groups.MAX_TABLE_ENTRIES} table entries"
             )
-        if self.generator_images != group.generator_perms:
-            self._check_vertex_orbits()
+        self._check_vertex_orbits()
 
     @classmethod
     def from_generator_perms(cls, generator_perms, complex_):
@@ -152,12 +149,14 @@ class GroupAction:
         The free group F on the generators acts on an orbit O by the images
         and maps onto G, and the Schreier generators close to the image H of
         Stab_F(min).  So |G| / |H| = [F : Stab_F(min) * ker] <= |O|, with
-        equality exactly when the normal subgroup ker fixes all of O.
+        equality exactly when the normal subgroup ker fixes all of O.  A
+        one-point orbit passes: its Schreier generators are the generators.
         """
+        order = self.group.order
         for members in self._orbits:
             if members[0] >= self.complex.vertex_count:
                 break  # vertices come first, so their orbits do too
-            if len(self._stabilizer_elements(members)) * len(members) != self.group.order:
+            if len(members) > 1 and len(self._stabilizer_elements(members)) * len(members) != order:
                 raise NotAnAutomorphismError(
                     "vertex tables are not compatible with the group multiplication"
                 )
@@ -352,22 +351,23 @@ def induced_action_on_subdivision(action):
 
 
 def action_to_doc(action):
+    n = action.complex.vertex_count  # vertex v is simplex v
     return {
         "group": {
-            "generators": {f"g{i}": list(row) for i, row in enumerate(action.generator_images)}
+            "generators": {f"g{i}": row[:n] for i, row in enumerate(action.generator_rows)}
         },
         "complex": complex_to_doc(action.complex),
     }
 
 
-def action_from_doc(doc, complex_, location="$"):
+def action_from_doc(doc, complex_):
     if not isinstance(doc, dict):
-        raise FormatError("action must be an object", location)
+        raise FormatError("action must be an object", "$")
     group_doc = doc.get("group")
     if not isinstance(group_doc, dict) or not isinstance(group_doc.get("generators"), dict):
         raise FormatError(
             "group.generators must be an object of named permutations",
-            f"{location}.group.generators",
+            "$.group.generators",
         )
     perms = []
     for name, perm in group_doc["generators"].items():
@@ -379,10 +379,10 @@ def action_from_doc(doc, complex_, location="$"):
         ):
             raise FormatError(
                 f"generator must be a permutation of 0..{complex_.vertex_count - 1}",
-                f"{location}.group.generators.{name}",
+                f"$.group.generators.{name}",
             )
         perms.append(perm)
     try:
         return GroupAction.from_generator_perms(perms, complex_)
     except (GroupTooLargeError, NotAnAutomorphismError) as exc:
-        raise FormatError(str(exc), f"{location}.group.generators") from exc
+        raise FormatError(str(exc), "$.group.generators") from exc

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .actions import action_from_doc, action_to_doc, check_regularity, quotient
 from .bench import FAMILIES, growth_exponents, rows_to_csv, run_bench
@@ -186,6 +187,7 @@ def _positive_int(text):
     return value
 
 
+@cache  # one parser per process
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="equicompress",
@@ -230,8 +232,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         try:
             return args.fn(args)

@@ -138,26 +138,26 @@ def triple_to_doc(triple):
     }
 
 
-def triple_from_doc(doc, location="$"):
+def triple_from_doc(doc):
     """Parse a triple document, checking structure but not algebraic laws.
 
     Keys other than the four of ``triple_to_doc`` are ignored.
     """
     if not isinstance(doc, dict):
-        raise FormatError("triple must be an object", location)
-    group = group_from_doc(doc.get("group"), f"{location}.group")
-    quotient = complex_from_doc(doc.get("quotient"), f"{location}.quotient")
+        raise FormatError("triple must be an object", "$")
+    group = group_from_doc(doc.get("group"))
+    quotient = complex_from_doc(doc.get("quotient"), "$.quotient")
 
     stabilizers_doc = doc.get("stabilizers")
     if not isinstance(stabilizers_doc, list) or len(stabilizers_doc) != len(quotient):
         raise FormatError(
             f"stabilizers must list one subgroup per quotient simplex "
             f"({len(quotient)} expected)",
-            f"{location}.stabilizers",
+            "$.stabilizers",
         )
     stabilizers = []
     for i, members in enumerate(stabilizers_doc):
-        where = f"{location}.stabilizers[{i}]"
+        where = f"$.stabilizers[{i}]"
         if not isinstance(members, list) or not all(
             type(g) is int and 0 <= g < group.order for g in members
         ):
@@ -171,10 +171,10 @@ def triple_from_doc(doc, location="$"):
 
     transfers_doc = doc.get("transfers")
     if not isinstance(transfers_doc, list):
-        raise FormatError("transfers must be a list", f"{location}.transfers")
+        raise FormatError("transfers must be a list", "$.transfers")
     transfers = {}
     for i, entry in enumerate(transfers_doc):
-        where = f"{location}.transfers[{i}]"
+        where = f"$.transfers[{i}]"
         if not (isinstance(entry, list) and len(entry) == 3 and all(type(v) is int for v in entry)):
             raise FormatError("transfer entry must be [parent, child, element]", where)
         parent, child, g = entry

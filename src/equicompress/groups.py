@@ -1,10 +1,10 @@
-"""Finite groups with a fixed element enumeration.
+"""Finite groups as multiplication tables.
 
-Elements are referred to everywhere by their enumeration index: the identity
-is index 0 and the remaining indices follow breadth-first discovery order
-from the generating set, so the enumeration is deterministic for a fixed
-input.  The closure records each element times each generator; the
-multiplication table is composed from that record along the discovery paths.
+Elements are referred to everywhere by their index: element h is the element
+whose left-multiplication row carries the identity, index 0, to h.
+``FiniteGroup`` walks every table out of the generators' rows.  A closure of
+permutations numbers its elements in breadth-first discovery order, which is
+deterministic for a fixed input; a group document keeps the numbering it gives.
 A group keeps one ``Subgroup`` per member set, its closure checked once by
 ``extend_subgroup``; membership and left cosets are read from its coset table.
 """
@@ -34,29 +34,28 @@ def uniqsort(elements):
 
 
 class FiniteGroup:
-    """An enumerated finite group.
+    """A finite group as its multiplication table.
 
-    Holds the full multiplication table.  ``right[g][i]`` is the index of g
-    times the i-th generator; element h > 0 was first found as ``parents[h]``
-    times generator ``last_generators[h]``.  ``generator_perms`` are the
-    permutations the group was closed from, one tuple per generator.
+    ``_mult[a][x]`` is a*x, so row a carries 0 to a.  The rows are walked out
+    of the generators' rows, the row of a*s being row a composed with row s;
+    ``ValueError`` is raised when the walk reaches fewer than ``order`` elements.
     """
 
-    def __init__(self, generator_indices, right, parents, last_generators, generator_perms):
-        self.order = len(right)
-        self.generators = list(generator_indices)
-        self.generator_perms = generator_perms
-        self._right = right
-        self._parents = parents
-        self._last_generators = last_generators
-        # a*h = a*parent(h)*s, filled in discovery order so a*parent(h) is known
-        self._mult = []
-        for a in range(self.order):
-            row = [a] * self.order
-            for h in range(1, self.order):
-                row[h] = right[row[parents[h]]][last_generators[h]]
-            self._mult.append(row)
-        self._inverse = [row.index(0) for row in self._mult]
+    def __init__(self, order, generator_rows):
+        self.order = order
+        self.generators = [row[0] for row in generator_rows]
+        self._mult = table = [None] * order
+        table[0] = tuple(range(order))
+        found = [table[0]]
+        for row_a in found:  # grows while walked
+            for row_s in generator_rows:
+                h = row_a[row_s[0]]
+                if table[h] is None:
+                    table[h] = tuple([row_a[x] for x in row_s])
+                    found.append(table[h])
+        if len(found) < order:
+            raise ValueError(f"generators reach {len(found)} of {order} elements")
+        self._inverse = [row.index(0) for row in table]
         self._subgroups = {}  # sorted members -> the one Subgroup with those members
 
     def prod(self, g, h):
@@ -169,7 +168,7 @@ def enumerate_from_generators(generators, domain_size):
     Each generator must be a bijection on 0..domain_size-1.  The identity is
     discovered first (index 0) and new elements are found by right-multiplying
     known elements with generators in input order, so the enumeration is
-    deterministic.
+    deterministic.  The generators' rows are read off the Cayley graph.
     """
     gens = []
     for i, perm in enumerate(generators):
@@ -209,16 +208,20 @@ def enumerate_from_generators(generators, domain_size):
             row.append(h)
         right.append(row)
 
-    generator_indices = [seen[p] for p in gens]
-    del perms, seen  # the group keeps the Cayley graph and the generators' permutations
-    return FiniteGroup(generator_indices, right, parents, last_generators, gens)
+    del perms, seen
+    # s*h = (s*parent(h))*last(h), filled in discovery order so s*parent(h) is known
+    rows = [[s] * len(right) for s in right[0]]
+    for row in rows:
+        for h in range(1, len(right)):
+            row[h] = right[row[parents[h]]][last_generators[h]]
+    return FiniteGroup(len(right), rows)
 
 
 def group_to_doc(group):
-    """Portable form: order plus the regular action of each generator.
+    """Portable form: order plus the row of each generator in the table.
 
-    Re-enumerating the regular-action generators breadth first reproduces the
-    original enumeration exactly, so element indices survive a roundtrip.
+    ``group_from_doc`` reads element h as the element whose row carries 0 to
+    h, so element indices survive a roundtrip.
     """
     return {
         "order": group.order,
@@ -226,19 +229,19 @@ def group_to_doc(group):
     }
 
 
-def group_from_doc(doc, location="$.group"):
+def group_from_doc(doc):
     if not isinstance(doc, dict):
-        raise FormatError("group must be an object", location)
+        raise FormatError("group must be an object", "$.group")
     order = doc.get("order")
     gens = doc.get("generators")
     if type(order) is not int or order < 1:
-        raise FormatError("order must be a positive integer", f"{location}.order")
+        raise FormatError("order must be a positive integer", "$.group.order")
     if order > DEFAULT_MAX_ORDER:
         raise FormatError(
-            f"order exceeds the maximum order {DEFAULT_MAX_ORDER}", f"{location}.order"
+            f"order exceeds the maximum order {DEFAULT_MAX_ORDER}", "$.group.order"
         )
     if not isinstance(gens, list):
-        raise FormatError("generators must be a list", f"{location}.generators")
+        raise FormatError("generators must be a list", "$.group.generators")
     for i, perm in enumerate(gens):
         if (
             not isinstance(perm, list)
@@ -248,15 +251,18 @@ def group_from_doc(doc, location="$.group"):
         ):
             raise FormatError(
                 f"generator must be a permutation of 0..{order - 1}",
-                f"{location}.generators[{i}]",
+                f"$.group.generators[{i}]",
             )
     try:
-        group = enumerate_from_generators(gens, order)
-    except (ValueError, GroupTooLargeError) as exc:
-        raise FormatError(str(exc), f"{location}.generators") from exc
-    if group.order != order:
+        group = FiniteGroup(order, gens)
+    except ValueError as exc:
+        raise FormatError(str(exc), "$.group.generators") from exc
+    # The walk kept one product of rows per element.  Those products are the
+    # group the rows generate, acting regularly, exactly when they are closed
+    # under each generator: a*s must be the row its 0-image names.
+    table = group._mult
+    if any(table[a[s[0]]] != tuple([a[x] for x in s]) for a in table for s in gens):
         raise FormatError(
-            f"generators close to order {group.order}, not {order}",
-            f"{location}.order",
+            f"generators are not a regular representation of order {order}", "$.group.generators"
         )
     return group

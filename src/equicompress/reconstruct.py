@@ -102,13 +102,14 @@ def recovered_action(rc):
     return GroupAction(group, rc.complex, images)
 
 
-def check_partial_order(rc, max_relations=10**4):
+def check_partial_order(rc):
     """Brute-force verification that the face relation is a partial order.
 
     Recomputes the relation for every comparable label pair (any codimension,
     transfers composed along a canonical descending path), checks reflexivity,
     antisymmetry, transitivity and independence of the coset representative,
     and confirms it coincides with the containment order of the complex.
+    Raises BruteForceBoundError past 10^4 comparable label pairs.
     """
     triple = rc.triple
     group, quotient = triple.group, triple.quotient
@@ -140,9 +141,9 @@ def check_partial_order(rc, max_relations=10**4):
         for b, (yb, _) in enumerate(rc.labels)
         if yb in descend(ya)
     ]
-    if len(comparable) > max_relations:
+    if len(comparable) > 10**4:
         raise BruteForceBoundError(
-            f"{len(comparable)} candidate relations exceed the bound {max_relations}"
+            f"{len(comparable)} candidate relations exceed the bound 10000"
         )
 
     def related(a, b):

@@ -15,16 +15,23 @@ from equicompress.groups import Subgroup
 def reference_compose_rows(group, generator_rows, degree):
     """Extend one permutation of 0..degree-1 per generator to all elements.
 
-    Row h = parent(h)*s maps x to row[parent(h)][row[s][x]]; checking
-    every Cayley-graph edge g -> g*s makes the rows a homomorphism.
+    Along a breadth-first tree of the Cayley graph, read with ``group.prod``,
+    row h = g*s maps x to row[g][row[s][x]]; checking every Cayley-graph edge
+    g -> g*s makes the rows a homomorphism.
     """
-    rows = [list(range(degree))]
-    for h in range(1, group.order):
-        parent_row = rows[group._parents[h]]
-        rows.append([parent_row[x] for x in generator_rows[group._last_generators[h]]])
+    steps = list(zip(group.generators, generator_rows))
+    rows = [None] * group.order
+    rows[0] = list(range(degree))
+    reached = [0]
+    for g in reached:  # grows while walked
+        for s, gen_row in steps:
+            h = group.prod(g, s)
+            if rows[h] is None:
+                rows[h] = [rows[g][x] for x in gen_row]
+                reached.append(h)
     for g, row in enumerate(rows):
-        for i, gen_row in enumerate(generator_rows):
-            if rows[group._right[g][i]] != [row[x] for x in gen_row]:
+        for s, gen_row in steps:
+            if rows[group.prod(g, s)] != [row[x] for x in gen_row]:
                 raise NotAnAutomorphismError(
                     "vertex tables are not compatible with the group multiplication"
                 )

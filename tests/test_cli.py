@@ -25,6 +25,7 @@ from equicompress.families import (
     trivial_action,
     triangle_complex,
 )
+from relabel import renumbered_s3_triangle
 
 
 def write(tmp_path, name, doc):
@@ -473,6 +474,23 @@ REPEATED_ELEMENTS = json.dumps(
 ).encode()
 
 
+def _triple_over(group):
+    """A one-vertex triple over a group document."""
+    doc = {
+        "group": group,
+        "quotient": {"vertices": 1, "maximal_simplices": []},
+        "stabilizers": [list(range(group["order"]))],
+        "transfers": [],
+    }
+    return json.dumps(doc).encode()
+
+
+# S_3 fixing 3, 4 and 5: it closes to the stated order but is not regular
+NOT_REGULAR = _triple_over({"order": 6, "generators": [[1, 2, 0, 3, 4, 5], [1, 0, 2, 3, 4, 5]]})
+# rows generating C_2, of a group stated to have order 4
+SMALLER_GROUP = _triple_over({"order": 4, "generators": [[1, 0, 3, 2]]})
+
+
 @pytest.mark.parametrize(
     "argv, content",
     [
@@ -485,6 +503,8 @@ REPEATED_ELEMENTS = json.dumps(
         (["reconstruct", "--triple"], REPEATED_ELEMENTS),
         (["check-regular", "--action"], LONG_INTEGER),
         (["reconstruct", "--triple"], LONG_INTEGER),
+        (["reconstruct", "--triple"], NOT_REGULAR),
+        (["validate-triple", "--triple"], SMALLER_GROUP),
         # C_4097 rotating a wheel: the closure passes the order cap
         (["bench", "--family", "simplex-rotation", "--orders", "4097"], None),
     ],
@@ -498,6 +518,8 @@ REPEATED_ELEMENTS = json.dumps(
         "triple-repeated-stabilizer-element",
         "action-long-integer",
         "triple-long-integer",
+        "triple-group-not-regular",
+        "triple-group-smaller-than-its-order",
         "bench-order-cap",
     ],
 )
@@ -581,6 +603,8 @@ _FUZZ_TRIPLE = triple_to_doc(compress(hexagon_antipodal_action()))
 # conjugation and cosets rather than from free orbits alone
 _FUZZ_STABILIZED_ACTION = action_to_doc(klein_four_bowtie_action(subdivisions=1))
 _FUZZ_STABILIZED_TRIPLE = triple_to_doc(compress(klein_four_bowtie_action(subdivisions=1)))
+# a triple whose elements are numbered in no closure's breadth-first order
+_FUZZ_RENUMBERED_TRIPLE = renumbered_s3_triangle()[2]
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
@@ -594,6 +618,7 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, data):
         (_FUZZ_TRIPLE, triple_commands),
         (_FUZZ_STABILIZED_ACTION, [*action_commands, ["roundtrip", "--action"]]),
         (_FUZZ_STABILIZED_TRIPLE, triple_commands),
+        (_FUZZ_RENUMBERED_TRIPLE, triple_commands),
     ):
         doc = copy.deepcopy(base)
         for _ in range(data.draw(st.integers(1, 3))):

@@ -19,6 +19,8 @@ from equicompress.families import (
     regular_fixtures,
 )
 from equicompress.groups import Subgroup
+from equicompress.reconstruct import reconstruct
+from relabel import renumbered_s3_triangle
 
 
 def test_validate_passes_on_compress_output():
@@ -186,3 +188,18 @@ def test_triple_from_doc_structural_errors():
     with pytest.raises(FormatError):
         triple_from_doc(bad)
 
+
+
+def test_renumbered_triple_is_read_in_its_own_numbering():
+    action, phi, doc = renumbered_s3_triangle()
+    group = action.group
+    pairs = [(a, b) for a in range(group.order) for b in range(group.order)]
+    assert any(phi[group.prod(a, b)] != group.prod(phi[a], phi[b]) for a, b in pairs)
+    triple = triple_from_doc(doc)
+    assert triple_to_doc(triple) == doc
+    for a, b in pairs:
+        assert triple.group.prod(phi[a], phi[b]) == phi[group.prod(a, b)], (a, b)
+    assert validate_triple(triple).valid
+    rc = reconstruct(triple)
+    assert len(rc.complex) == 121
+    assert rc.complex.counts_by_dim() == action.complex.counts_by_dim()

@@ -214,6 +214,36 @@ def test_group_from_doc_rejects_bad_order():
         group_from_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # S_3 fixing 3, 4 and 5: it closes to the stated order but is not regular
+        {"order": 6, "generators": [[1, 2, 0, 3, 4, 5], [1, 0, 2, 3, 4, 5]]},
+        # rows generating C_2, of a group stated to have order 4
+        {"order": 4, "generators": [[1, 0, 3, 2]]},
+        {"order": 2, "generators": []},
+        # S_4 on its 4 points: transitive, every 0-image reached, yet of order 24
+        {"order": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]},
+        # two rows carrying 0 to 1 that differ elsewhere
+        {"order": 3, "generators": [[1, 2, 0], [1, 0, 2]]},
+    ],
+    ids=["s3-fixing-3-points", "smaller-group", "no-rows", "s4-on-4-points", "s3-on-3-points"],
+)
+def test_group_doc_that_is_not_a_regular_representation_is_refused(doc):
+    with pytest.raises(FormatError) as exc:
+        group_from_doc(doc)
+    assert exc.value.location == "$.group.generators"
+
+
+def test_group_doc_is_read_in_its_own_numbering():
+    # C_4 generated by 3, its rows listed in an order no closure would find
+    doc = {"order": 4, "generators": [[3, 0, 1, 2]]}
+    group = group_from_doc(doc)
+    assert group.generators == [3]
+    assert [group.prod(3, x) for x in range(4)] == [3, 0, 1, 2]
+    assert group_to_doc(group) == doc
+
+
 def test_group_equality_detects_difference():
     assert klein_four() != dihedral_6()
     c4 = enumerate_from_generators([[1, 2, 3, 0]], 4)
