@@ -19,13 +19,13 @@ vertex orbit's stabilizer, so closed, has |G| / |orbit| elements.  The
 elements carrying x to y form the coset t[y] * Stab(min) * t[x]^-1, and g * x
 is the point whose coset is g * t[x] * Stab(min) (Seress, *Permutation Group
 Algorithms*, 2003, ch. 4).
-The orbit partition, ``GroupAction.orbit_ids``, drives both the regularity
-check and the quotient, and the quotient is computed once per action.
-Condition (2) compares orbit ids within each group of simplices with equal
-vertex-orbit multisets.
+Each regularity condition holds along a whole orbit or nowhere on it, and
+each quotient simplex is one orbit, so both are read off one key per orbit,
+``GroupAction.orbit_keys``; the quotient is computed once per action.
+Condition (2) fails exactly when two orbits share a key.
 Condition (3) implies (1): a setwise stabilizer maps each vertex into its own
 orbit, which under (3) meets the simplex in that vertex alone, so the vertex is
-fixed; stabilizers are only built when some simplex repeats a vertex orbit.
+fixed; stabilizers are only built for orbits whose key repeats a vertex orbit.
 """
 
 from __future__ import annotations
@@ -185,9 +185,13 @@ class GroupAction:
 
     @cached_property
     def orbit_keys(self):
-        """Per simplex, the sorted vertex orbits of its vertices."""
-        ids = self.orbit_ids
-        return [tuple(sorted(ids[v] for v in simplex)) for simplex in self.complex.simplices]
+        """Per orbit, the sorted vertex orbits of its minimum's vertices.
+
+        g carries each vertex into that vertex's own orbit, so every member of
+        an orbit has its minimum's key.
+        """
+        ids, simplices = self.orbit_ids, self.complex.simplices
+        return [tuple(sorted(ids[v] for v in simplices[members[0]])) for members in self._orbits]
 
     @cached_property
     def _stabilizers(self):
@@ -252,16 +256,13 @@ class GroupAction:
         report = check_regularity(self)
         if not report.regular:
             raise RegularityViolationError(report)
-        complex_ = self.complex
-        n_classes = max(self.orbit_ids[: complex_.vertex_count], default=-1) + 1
-        keys = self.orbit_keys
-        quotient_complex = SimplicialComplex(n_classes, set(keys))
-        p = [quotient_complex.index[key] for key in keys]
-        lifts = [None] * len(quotient_complex)
-        for x, y in enumerate(p):
-            if lifts[y] is None:
-                lifts[y] = x
-        return quotient_complex, p, lifts
+        n_classes = max(self.orbit_ids[: self.complex.vertex_count], default=-1) + 1
+        quotient_complex = SimplicialComplex(n_classes, self.orbit_keys)
+        classes = [quotient_complex.index[key] for key in self.orbit_keys]
+        lifts = [0] * len(classes)
+        for y, members in zip(classes, self._orbits):
+            lifts[y] = members[0]
+        return quotient_complex, [classes[oid] for oid in self.orbit_ids], lifts
 
 
 def check_regularity(action):
@@ -269,43 +270,39 @@ def check_regularity(action):
 
     Scan order: pointwise fixing of setwise stabilizers, then orbit closure
     of recombined simplices, then distinctness of vertex orbits within each
-    simplex; within each condition, simplices are visited canonically.
+    simplex; within each condition, orbits are visited by their minima, canonically.
     """
     complex_ = action.complex
     ids = action.orbit_ids
+    minima = [members[0] for members in action._orbits]
     keys = action.orbit_keys
-    repeat = next((sid for sid, key in enumerate(keys) if len(set(key)) < len(key)), None)
+    repeats = [sid for sid, key in zip(minima, keys) if len(set(key)) < len(key)]
 
     # (3) implies (1): a setwise stabilizer maps each vertex of the simplex into
     # that vertex's own orbit, which under (3) meets the simplex in that vertex
-    # alone.  So only an action violating (3) can violate (1).  Pointwise fixing
-    # holds along a whole orbit or nowhere on it, so the first simplex violating
-    # (1) is an orbit minimum; the minima are the first members of the orbits.
-    if repeat is not None:
-        for members in action._orbits:
-            sid = members[0]
-            simplex = complex_.simplices[sid]
-            if len(simplex) == 1:
-                continue
-            for g in action.stab(sid).elements:
-                moved = next((v for v in simplex if action.act_on_simplex(g, v) != v), None)
-                if moved is not None:
-                    return RegularityReport(
-                        False,
-                        POINTWISE_FIX,
-                        {"simplex": sid, "element": g, "vertex": moved},
-                    )
+    # alone.  So only an orbit repeating a vertex orbit can violate (1).
+    for sid in repeats:
+        simplex = complex_.simplices[sid]
+        for g in action.stab(sid).elements:
+            moved = next((v for v in simplex if action.act_on_simplex(g, v) != v), None)
+            if moved is not None:
+                return RegularityReport(
+                    False,
+                    POINTWISE_FIX,
+                    {"simplex": sid, "element": g, "vertex": moved},
+                )
 
     # Simplices sharing a key are mutually recombinable: matching the vertices
     # of one against the vertex orbits of the other pairs off equal classes.
-    # A bucket either lies in one orbit or gives every member a stray, so the
-    # first simplex with a stray is the first bucket head with one.
+    # So (2) fails exactly when two orbits share a key, and the first simplex
+    # with a stray is the minimum of the first orbit whose key a later orbit
+    # shares; its first stray is the minimum of the next orbit with that key.
     heads = {}
     strays = {}
-    for sid, key in enumerate(keys):
+    for sid, key in zip(minima, keys):
         head = heads.setdefault(key, sid)
-        if ids[sid] != ids[head] and head not in strays:
-            strays[head] = sid
+        if head != sid:
+            strays.setdefault(head, sid)
     if strays:
         head = min(strays)
         return RegularityReport(
@@ -314,15 +311,15 @@ def check_regularity(action):
             {"simplex": head, "recombined": strays[head]},
         )
 
-    if repeat is not None:
+    if repeats:
         seen = {}
-        for v in complex_.simplices[repeat]:
+        for v in complex_.simplices[repeats[0]]:
             if ids[v] in seen:
                 u = seen[ids[v]]
                 return RegularityReport(
                     False,
                     DISTINCT_VERTEX_ORBITS,
-                    {"simplex": repeat, "vertices": [u, v], "element": action.trans(u, v)},
+                    {"simplex": repeats[0], "vertices": [u, v], "element": action.trans(u, v)},
                 )
             seen[ids[v]] = v
 
@@ -334,6 +331,7 @@ def quotient(action):
 
     Returns (Y, p, lifts) where p maps each simplex id of the acted-on complex
     to its orbit class id in Y, and lifts[y] is the minimal member of class y.
+    Y holds one simplex per orbit, its key; under (2) no two orbits share one.
     Vertex classes are numbered by their minimal member; higher simplices
     follow canonical order of their class tuples.  Under (3) a facet's key is
     its simplex's key less one class: the keys are closed.  The action

@@ -23,9 +23,6 @@ class CompressedTriple:
     stabilizers: list  # Subgroup per quotient simplex id
     transfers: dict  # (parent id, child id) -> element index
 
-    def transfer(self, parent, child):
-        return self.transfers[(parent, child)]
-
 
 @dataclass
 class ValidationReport:
@@ -77,7 +74,7 @@ def validate_triple(triple):
         paths = {}
         for mid in quotient.faces_codim1[top]:
             for bottom in quotient.faces_codim1[mid]:
-                product = group.prod(triple.transfer(mid, bottom), triple.transfer(top, mid))
+                product = group.prod(triple.transfers[mid, bottom], triple.transfers[top, mid])
                 paths.setdefault(bottom, []).append((mid, product))
         for bottom, entries in sorted(paths.items()):
             _, reference = entries[0]

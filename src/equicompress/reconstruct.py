@@ -42,7 +42,7 @@ def reconstruct(triple):
     if not report.valid:
         raise TripleValidationError(report)
 
-    group, quotient = triple.group, triple.quotient
+    group, quotient, transfers = triple.group, triple.quotient, triple.transfers
     size = sum(group.order // len(s) for s in triple.stabilizers)  # one label per coset
     if size > MAX_SIMPLICES:
         raise ComplexTooLargeError(
@@ -62,7 +62,7 @@ def reconstruct(triple):
                 continue
             attached = []
             for child in quotient.faces_codim1[y]:
-                pulled = group.prod(g, group.inv(triple.transfer(y, child)))
+                pulled = group.prod(g, group.inv(transfers[y, child]))
                 attached.append((child, group.minrep(triple.stabilizers[child], pulled)))
             union = set()
             for facet in attached:
@@ -112,7 +112,7 @@ def check_partial_order(rc):
     Raises BruteForceBoundError past 10^4 comparable label pairs.
     """
     triple = rc.triple
-    group, quotient = triple.group, triple.quotient
+    group, quotient, transfers = triple.group, triple.quotient, triple.transfers
 
     descendants = [None] * len(quotient)
 
@@ -132,7 +132,7 @@ def check_partial_order(rc):
         key = (y, target)
         if key not in path_transfer:
             child = next(c for c in quotient.faces_codim1[y] if target in descend(c))
-            path_transfer[key] = group.prod(transfer_along(child, target), triple.transfer(y, child))
+            path_transfer[key] = group.prod(transfer_along(child, target), transfers[y, child])
         return path_transfer[key]
 
     comparable = [

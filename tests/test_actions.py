@@ -349,8 +349,17 @@ def _reference_quotient(action):
     return quotient_complex, [quotient_complex.index[img] for img in images]
 
 
+def _involution_on_graph():
+    """C_2 = <(0 3)(1 5)(2 4)> on a graph whose edge orbits have the keys
+    (0,1), (0,2), (0,2), (0,1): the first key shared in orbit order is not the
+    first orbit's."""
+    edges = [[0, 1], [0, 4], [3, 4], [2, 3], [0, 2], [0, 5], [1, 3], [3, 5]]
+    return GroupAction.from_generator_perms([[3, 5, 4, 0, 2, 1]], build_complex(edges, 6))
+
+
 def _regularity_corpus():
-    """Fixtures, shifted and reflected polygons, wheels and S_3/S_4 on a simplex."""
+    """Fixtures, shifted and reflected polygons, wheels, S_3/S_4 on a simplex and
+    an involution on a graph."""
     corpus = dict(regular_fixtures())
     corpus.update((name, action) for name, (action, _) in irregular_fixtures().items())
     for n in range(3, 15):
@@ -376,6 +385,7 @@ def _regularity_corpus():
         )
         for times in range(3):
             corpus[f"S{n}-simplex-sd{times}"] = subdivide_action(symmetric, times)
+    corpus["C2-involution-graph"] = _involution_on_graph()
     return corpus
 
 
@@ -385,6 +395,10 @@ def test_regularity_and_quotient_match_the_reference():
         report = check_regularity(action)
         assert report.to_doc() == _reference_check_regularity(action).to_doc(), name
         outcomes.add(report.condition)
+        vclass = _reference_vertex_orbit_classes(action)
+        for x, simplex in enumerate(action.complex.simplices):
+            key = tuple(sorted(vclass[v] for v in simplex))
+            assert key == action.orbit_keys[action.orbit_ids[x]], (name, x)
         if report.regular:
             y, p, _ = quotient(action)
             ref_y, ref_p = _reference_quotient(action)
@@ -394,6 +408,13 @@ def test_regularity_and_quotient_match_the_reference():
                 ref_p,
             ), name
     assert outcomes == {None, POINTWISE_FIX, ORBIT_CLOSURE, DISTINCT_VERTEX_ORBITS}
+    # orbits 4 and 5 are the first pair to share a key, but orbit 3's key
+    # recurs at orbit 6: the witness is the minima of orbits 3 and 6
+    assert check_regularity(_involution_on_graph()).to_doc() == {
+        "regular": False,
+        "condition": ORBIT_CLOSURE,
+        "witness": {"simplex": 6, "recombined": 9},
+    }
 
 
 def _reference_action_corpus():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import equicompress
 from equicompress import actions, groups
-from equicompress.actions import action_to_doc, quotient
+from equicompress.actions import GroupAction, action_to_doc, quotient
 from equicompress.cli import main
 from equicompress.cog import triple_to_doc
 from equicompress.complexes import build_complex, complex_to_doc, subdivision_size
@@ -605,6 +605,14 @@ _FUZZ_STABILIZED_ACTION = action_to_doc(klein_four_bowtie_action(subdivisions=1)
 _FUZZ_STABILIZED_TRIPLE = triple_to_doc(compress(klein_four_bowtie_action(subdivisions=1)))
 # a triple whose elements are numbered in no closure's breadth-first order
 _FUZZ_RENUMBERED_TRIPLE = renumbered_s3_triangle()[2]
+# an involution on a graph violating orbit closure, so mutations reach the
+# per-orbit violation paths
+_FUZZ_IRREGULAR_ACTION = action_to_doc(
+    GroupAction.from_generator_perms(
+        [[3, 5, 4, 0, 2, 1]],
+        build_complex([[0, 1], [0, 4], [3, 4], [2, 3], [0, 2], [0, 5], [1, 3], [3, 5]], 6),
+    )
+)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
@@ -619,6 +627,7 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, data):
         (_FUZZ_STABILIZED_ACTION, [*action_commands, ["roundtrip", "--action"]]),
         (_FUZZ_STABILIZED_TRIPLE, triple_commands),
         (_FUZZ_RENUMBERED_TRIPLE, triple_commands),
+        (_FUZZ_IRREGULAR_ACTION, action_commands),
     ):
         doc = copy.deepcopy(base)
         for _ in range(data.draw(st.integers(1, 3))):

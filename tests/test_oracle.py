@@ -31,7 +31,7 @@ def oracle_reconstruct(triple):
         (y, c), (y2, c2) = upper, lower
         if y2 not in quotient.faces_codim1[y]:
             return False
-        t_inv = group.inv(triple.transfer(y, y2))
+        t_inv = group.inv(triple.transfers[y, y2])
         return {group.prod(g, t_inv) for g in c} <= c2
 
     below = {p: {p} for p in points}
