@@ -92,6 +92,8 @@ def cmd_subdivide(args):
         if args.action:
             action = subdivide_action(_load_action(args.complex, args.action), args.times)
             _dump(action_to_doc(action), args.out)
+        elif args.complex is None:
+            raise FormatError("required unless --action is given", "--complex")
         else:
             complex_ = _load_complex(args.complex)
             for _ in range(args.times):

@@ -24,12 +24,7 @@ def compress(action):
         stabilizers.append(action.stab(lift))
         for z in action.complex.faces_codim1[lift]:
             child = orbit_map[z]
-            carrier = action.trans(z, lifts[child])
-            if carrier is None:
-                raise AssertionError(
-                    "no transporter between orbit members of a regular action"
-                )
-            transfers[(y, child)] = carrier
+            transfers[(y, child)] = action.trans(z, lifts[child])
 
     return CompressedTriple(action.group, quotient_complex, stabilizers, transfers)
 

@@ -41,7 +41,7 @@ class TripleValidationError(EquicompressError):
 
 
 class ReconstructionIntegrityError(EquicompressError):
-    """Reconstruction produced an inconsistent facet set (corrupt triple)."""
+    """Two labels span one vertex set, or a face test of ``check_partial_order`` is ill defined."""
 
 
 class FormatError(EquicompressError):

@@ -2,11 +2,10 @@
 
 Simplices of the output are labeled (y, g) where y is a quotient simplex and
 g is the enumeration-minimal representative of a left coset of the stabilizer
-of y.  The pair (y', g') is a face of (y, g) exactly when y' is a face of y
-and the cosets agree after pulling g back through the transfer, i.e. when
-inv(g') * g * inv(T(y >= y')) lies in the stabilizer of y'.  The labels over
-y are the distinct entries of the coset table of S(y) (``Subgroup.coset_reps``),
-and g' is the entry of g * inv(T(y >= y')) in the table of S(y').
+of y, i.e. a g with ``coset_reps[g] == g``.  The simplex (y, g) has one vertex
+over each vertex class v of y, namely (v, minrep(S(v), g * P(y, v)^-1)), where
+P(y, v) composes the transfers down a descending path from y to v: this is the
+development of the complex of groups (Bridson-Haefliger III.C).
 """
 
 from __future__ import annotations
@@ -35,6 +34,15 @@ class ReconstructedComplex:
 def reconstruct(triple):
     """Run the basic construction on a validated triple.
 
+    Vertex class v is simplex v of the quotient: canonical order lists the
+    vertices first, and a quotient lists all of them.  The result is closed:
+    ``validate_triple`` checks containment and length-2 path independence, and
+    any two descending paths from y to v are joined by swaps of adjacent steps,
+    each changing the composite by an element of S(mid) that the rest of the
+    path conjugates into S(v).  So g * P(y, v)^-1 * S(v) depends neither on the
+    path nor on the representative of g, and each facet of a label's vertex set
+    is the vertex set of its facet label.
+
     Raises ComplexTooLargeError, before any label is listed, when the
     reconstruction would hold more than ``MAX_SIMPLICES`` simplices.
     """
@@ -48,34 +56,28 @@ def reconstruct(triple):
         raise ComplexTooLargeError(
             f"reconstruction of {size} simplices exceeds the maximum {MAX_SIMPLICES}"
         )
-    # label -> strictly sorted tuple of vertex ids of the reconstruction
-    vertex_sets = {}
+    pullbacks = []  # per class y, P(y, v)^-1 for its vertex classes v, in order
+    vertex_sets = {}  # label -> strictly sorted tuple of vertex ids of the reconstruction
 
-    for y in range(len(quotient)):  # canonical order: faces before cofaces
-        d = quotient.simplex_dim(y)
-        stabilizer = triple.stabilizers[y]
-        reps = sorted(set(stabilizer.coset_reps))
-        for g in reps:
-            label = (y, g)
-            if d == 0:
-                vertex_sets[label] = (len(vertex_sets),)
-                continue
-            attached = []
-            for child in quotient.faces_codim1[y]:
-                pulled = group.prod(g, group.inv(transfers[y, child]))
-                attached.append((child, group.minrep(triple.stabilizers[child], pulled)))
-            union = set()
-            for facet in attached:
-                union.update(vertex_sets[facet])
-            if len(union) != d + 1:
-                raise ReconstructionIntegrityError(
-                    f"simplex {label} spans {len(union)} vertices, expected {d + 1}"
-                )
-            vertex_sets[label] = tuple(sorted(union))
+    for y, simplex in enumerate(quotient.simplices):  # canonical order: faces first
+        reps = [g for g, rep in enumerate(triple.stabilizers[y].coset_reps) if g == rep]
+        if len(simplex) == 1:
+            pullbacks.append([0])
+            for g in reps:
+                vertex_sets[y, g] = (len(vertex_sets),)
+            continue
+        first, second = quotient.faces_codim1[y][:2]  # y less its last vertex; less the one before
+        down = group.inv(transfers[y, first])
+        pullbacks.append([group.prod(down, p) for p in pullbacks[first]])
+        pullbacks[y].append(group.prod(group.inv(transfers[y, second]), pullbacks[second][-1]))
+        for g in reps:  # vertex ids ascend with their class: the tuple is sorted
+            vertex_sets[y, g] = tuple(
+                vertex_sets[v, group.minrep(triple.stabilizers[v], group.prod(g, p))][0]
+                for v, p in zip(simplex, pullbacks[y])
+            )
 
     if len(set(vertex_sets.values())) != len(vertex_sets):
         raise ReconstructionIntegrityError("two labels span the same vertex set")
-    # closed: a d-label's d+1 facet labels span d+1 distinct d-subsets of its set
     n_vertices = sum(1 for vset in vertex_sets.values() if len(vset) == 1)
     complex_ = SimplicialComplex(n_vertices, vertex_sets.values())
     labels = [None] * len(complex_)

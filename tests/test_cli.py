@@ -507,6 +507,7 @@ SMALLER_GROUP = _triple_over({"order": 4, "generators": [[1, 0, 3, 2]]})
         (["validate-triple", "--triple"], SMALLER_GROUP),
         # C_4097 rotating a wheel: the closure passes the order cap
         (["bench", "--family", "simplex-rotation", "--orders", "4097"], None),
+        (["subdivide"], None),
     ],
     ids=[
         "action-number",
@@ -521,6 +522,7 @@ SMALLER_GROUP = _triple_over({"order": 4, "generators": [[1, 0, 3, 2]]})
         "triple-group-not-regular",
         "triple-group-smaller-than-its-order",
         "bench-order-cap",
+        "subdivide-no-input",
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, content):

@@ -75,6 +75,12 @@ def test_labels_cover_cosets():
             assert len(labels) == k // len(stab), name
             expected = {action.group.minrep(stab, g) for g in range(k)}
             assert set(labels) == expected, name
+        # one vertex over each vertex class of y, in order; vertex v is simplex v
+        x, quotient = rc.complex, triple.quotient
+        assert all(
+            [rc.labels[v][0] for v in x.simplices[sid]] == list(quotient.simplices[y])
+            for sid, (y, _) in enumerate(rc.labels)
+        ), name
 
 
 def test_minrep_call_count_is_exact():
@@ -190,6 +196,10 @@ def test_mutated_triples_are_refused_or_reconstruct_closed():
             assert len(set(rc.labels)) == len(rc.labels) == len(x), name
             assert all(
                 bad.quotient.simplex_dim(y) == x.simplex_dim(sid)
+                for sid, (y, _) in enumerate(rc.labels)
+            ), name
+            assert all(
+                [rc.labels[v][0] for v in x.simplices[sid]] == list(bad.quotient.simplices[y])
                 for sid, (y, _) in enumerate(rc.labels)
             ), name
             outcomes["closed"] += 1
