@@ -27,6 +27,15 @@ class SimplicialComplex:
         # canonical order: by vertex tuple, then stably by dimension
         self.simplices = sorted(simplices)
         self.simplices.sort(key=len)
+        # the package reads vertex v as simplex v, so the vertices must be
+        # exactly (0,) .. (vertex_count - 1,)
+        if self.simplices[:vertex_count] != list(zip(range(vertex_count))) or (
+            len(self.simplices) > vertex_count and len(self.simplices[vertex_count]) == 1
+        ):
+            raise ValueError(
+                f"a complex of {vertex_count} vertices must list exactly the vertices "
+                f"0..{vertex_count - 1}"
+            )
         index = self.index = {s: i for i, s in enumerate(self.simplices)}
         self.dim = len(self.simplices[-1]) - 1 if self.simplices else -1
         # combinations drops vertex d, d-1, ..., 0: the facets come out ascending

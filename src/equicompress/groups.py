@@ -46,16 +46,23 @@ class FiniteGroup:
         self.generators = [row[0] for row in generator_rows]
         self._mult = table = [None] * order
         table[0] = tuple(range(order))
-        found = [table[0]]
-        for row_a in found:  # grows while walked
-            for row_s in generator_rows:
+        found = [0]
+        tree = []  # (h, a, i) per element h = a*s_i, met first from a
+        for a in found:  # grows while walked
+            row_a = table[a]
+            for i, row_s in enumerate(generator_rows):
                 h = row_a[row_s[0]]
                 if table[h] is None:
                     table[h] = tuple([row_a[x] for x in row_s])
-                    found.append(table[h])
+                    found.append(h)
+                    tree.append((h, a, i))
         if len(found) < order:
             raise ValueError(f"generators reach {len(found)} of {order} elements")
-        self._inverse = [row.index(0) for row in table]
+        # (a*s)^-1 = s^-1 * a^-1, and a is met before a*s; s*x = 0 at x = s^-1
+        generator_inverses = [row.index(0) for row in generator_rows]
+        self._inverse = inverse = [0] * order
+        for h, a, i in tree:
+            inverse[h] = table[generator_inverses[i]][inverse[a]]
         self._subgroups = {}  # sorted members -> the one Subgroup with those members
 
     def prod(self, g, h):
@@ -257,12 +264,20 @@ def group_from_doc(doc):
         group = FiniteGroup(order, gens)
     except ValueError as exc:
         raise FormatError(str(exc), "$.group.generators") from exc
-    # The walk kept one product of rows per element.  Those products are the
-    # group the rows generate, acting regularly, exactly when they are closed
-    # under each generator: a*s must be the row its 0-image names.
+    # The walk kept one product of rows per element a, and a*t lies at
+    # R_t(a) = table[a][t]; each element h = a*s it found is R_s(a).  The rows
+    # generate a group acting regularly exactly when every R_t commutes with
+    # every row.  If they do, so do the products of the R_t, and along the walk
+    # those products carry 0 to every point: an element fixing 0 then fixes
+    # every point, so the stabilizer of 0 is trivial and the walk's products
+    # are the whole group.  Conversely, the right multiplications of a regular
+    # representation commute with its rows.  k^2 * |G| reads for k rows.
     table = group._mult
-    if any(table[a[s[0]]] != tuple([a[x] for x in s]) for a in table for s in gens):
-        raise FormatError(
-            f"generators are not a regular representation of order {order}", "$.group.generators"
-        )
+    for t in group.generators:
+        right = [row[t] for row in table]
+        if any(list(map(right.__getitem__, s)) != list(map(s.__getitem__, right)) for s in gens):
+            raise FormatError(
+                f"generators are not a regular representation of order {order}",
+                "$.group.generators",
+            )
     return group

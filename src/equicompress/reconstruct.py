@@ -10,6 +10,8 @@ development of the complex of groups (Bridson-Haefliger III.C).
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .actions import GroupAction
 from .cog import validate_triple
 from .complexes import MAX_SIMPLICES, SimplicialComplex
@@ -34,8 +36,8 @@ class ReconstructedComplex:
 def reconstruct(triple):
     """Run the basic construction on a validated triple.
 
-    Vertex class v is simplex v of the quotient: canonical order lists the
-    vertices first, and a quotient lists all of them.  The result is closed:
+    Vertex class v is simplex v of the quotient, as ``SimplicialComplex``
+    requires of every complex.  The result is closed:
     ``validate_triple`` checks containment and length-2 path independence, and
     any two descending paths from y to v are joined by swaps of adjacent steps,
     each changing the composite by an element of S(mid) that the rest of the
@@ -51,39 +53,48 @@ def reconstruct(triple):
         raise TripleValidationError(report)
 
     group, quotient, transfers = triple.group, triple.quotient, triple.transfers
-    size = sum(group.order // len(s) for s in triple.stabilizers)  # one label per coset
+    stabilizers = triple.stabilizers
+    size = sum(group.order // len(s) for s in stabilizers)  # one label per coset
     if size > MAX_SIMPLICES:
         raise ComplexTooLargeError(
             f"reconstruction of {size} simplices exceeds the maximum {MAX_SIMPLICES}"
         )
     pullbacks = []  # per class y, P(y, v)^-1 for its vertex classes v, in order
-    vertex_sets = {}  # label -> strictly sorted tuple of vertex ids of the reconstruction
+    vertex_ids = []  # per vertex class v, coset representative -> vertex id
+    labels = []  # (quotient id, coset representative), in the order built
+    vertex_sets = []  # per label, the strictly sorted tuple of its vertex ids
 
     for y, simplex in enumerate(quotient.simplices):  # canonical order: faces first
-        reps = [g for g, rep in enumerate(triple.stabilizers[y].coset_reps) if g == rep]
+        reps = sorted(set(stabilizers[y].coset_reps))  # each coset's minimum
+        labels.extend(zip(repeat(y), reps))
         if len(simplex) == 1:
             pullbacks.append([0])
-            for g in reps:
-                vertex_sets[y, g] = (len(vertex_sets),)
+            ids = range(len(vertex_sets), len(vertex_sets) + len(reps))
+            vertex_ids.append(dict(zip(reps, ids)))
+            vertex_sets.extend(zip(ids))
             continue
         first, second = quotient.faces_codim1[y][:2]  # y less its last vertex; less the one before
         down = group.inv(transfers[y, first])
         pullbacks.append([group.prod(down, p) for p in pullbacks[first]])
         pullbacks[y].append(group.prod(group.inv(transfers[y, second]), pullbacks[second][-1]))
-        for g in reps:  # vertex ids ascend with their class: the tuple is sorted
-            vertex_sets[y, g] = tuple(
-                vertex_sets[v, group.minrep(triple.stabilizers[v], group.prod(g, p))][0]
-                for v, p in zip(simplex, pullbacks[y])
+        # one column per vertex class v: the id of vertex (v, minrep(S(v), g * p))
+        # for every label g; vertex ids ascend with their class, so rows are sorted
+        columns = [
+            map(
+                vertex_ids[v].__getitem__,
+                map(group.minrep, repeat(stabilizers[v]), map(group.prod, reps, repeat(p))),
             )
+            for v, p in zip(simplex, pullbacks[y])
+        ]
+        vertex_sets.extend(zip(*columns))
 
-    if len(set(vertex_sets.values())) != len(vertex_sets):
+    if len(set(vertex_sets)) != len(vertex_sets):
         raise ReconstructionIntegrityError("two labels span the same vertex set")
-    n_vertices = sum(1 for vset in vertex_sets.values() if len(vset) == 1)
-    complex_ = SimplicialComplex(n_vertices, vertex_sets.values())
-    labels = [None] * len(complex_)
-    for label, vset in vertex_sets.items():
-        labels[complex_.index[vset]] = label
-    return ReconstructedComplex(complex_, labels, triple)
+    complex_ = SimplicialComplex(sum(map(len, vertex_ids)), vertex_sets)
+    ordered = [None] * len(complex_)
+    for sid, label in zip(map(complex_.index.__getitem__, vertex_sets), labels):
+        ordered[sid] = label
+    return ReconstructedComplex(complex_, ordered, triple)
 
 
 def recovered_action(rc):

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import resource
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equicompress
-from equicompress import actions, groups
+from equicompress import actions, cli, groups
 from equicompress.actions import GroupAction, action_to_doc, quotient
 from equicompress.cli import main
 from equicompress.cog import triple_to_doc
@@ -21,7 +23,9 @@ from equicompress.families import (
     cycle_complex,
     cycle_rotation_action,
     hexagon_antipodal_action,
+    irregular_fixtures,
     klein_four_bowtie_action,
+    regular_fixtures,
     trivial_action,
     triangle_complex,
 )
@@ -638,3 +642,62 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, data):
         for command in commands:
             out = str(directory / "out.json")
             assert main([*command, path, "--out", out]) in (0, 1, 2), (command, doc)
+
+
+_INTS = st.integers(-3, 3) | st.integers(-(10**30), 10**30)
+# commas and brackets, which the writer splits and re-spaces at, inside strings
+_TEXT = st.text(st.sampled_from(',[]{}:"\\\n\t é€\U0001f600'), max_size=6) | st.text(max_size=4)
+_INT_LISTS = st.lists(_INTS, max_size=5) | st.lists(_INTS | st.booleans(), max_size=5)
+_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | _INTS | st.floats() | _TEXT | _INT_LISTS
+    | st.lists(_INT_LISTS, max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _dumped(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._dump(doc, "-")
+    return out.getvalue()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_DOCUMENTS)
+def test_dump_writes_the_sorted_indented_json_text(doc):
+    assert _dumped(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_every_cli_artifact_is_the_sorted_indented_json_text(tmp_path, monkeypatch, capsys):
+    written = []
+    dump = cli._dump
+
+    def recording_dump(doc, path):
+        dump(doc, path)
+        written.append((doc, path))
+
+    monkeypatch.setattr(cli, "_dump", recording_dump)
+    fixtures = [*regular_fixtures().values(), *(a for a, _ in irregular_fixtures().values())]
+    for i, action in enumerate(fixtures):
+        action_file = write(tmp_path, f"action{i}.json", action_to_doc(action))
+        out = str(tmp_path / f"out{i}")
+        runs = [
+            ["check-regular", "--action", action_file],
+            ["quotient", "--action", action_file],
+            ["compress", "--action", action_file],
+            ["subdivide", "--action", action_file, "--times", "1"],
+        ]
+        if i < len(regular_fixtures()):
+            triple = out + "-compress.json"
+            runs += [
+                ["validate-triple", "--triple", triple],
+                ["reconstruct", "--triple", triple],
+                ["roundtrip", "--action", action_file],
+            ]
+        for argv in runs:
+            assert main([*argv, "--out", f"{out}-{argv[0]}.json"]) in (0, 1)
+    capsys.readouterr()
+    assert len(written) == 7 * len(regular_fixtures()) + 4 * len(irregular_fixtures())
+    for doc, path in written:
+        assert Path(path).read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"

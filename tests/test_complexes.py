@@ -4,6 +4,7 @@ from equicompress import complexes
 from equicompress.actions import check_regularity, quotient
 from equicompress.complexes import (
     MAX_SIMPLICES,
+    SimplicialComplex,
     barycentric_subdivision,
     build_complex,
     complex_from_doc,
@@ -48,6 +49,22 @@ def test_malformed_simplices_rejected():
         build_complex([[-1, 2]])
     with pytest.raises(MalformedSimplexError):
         build_complex([[0, 5]], vertex_count=3)
+
+
+@pytest.mark.parametrize(
+    "vertex_count, simplices",
+    [
+        # closed, but vertex 3 would be simplex 1
+        (5, [(0,), (3,), (4,), (0, 3), (0, 4), (3, 4)]),
+        # a vertex past the vertex count
+        (2, [(0,), (1,), (2,), (0, 2)]),
+        (0, [(0,)]),
+    ],
+    ids=["vertex-omitted", "vertex-past-the-count", "vertex-of-an-empty-complex"],
+)
+def test_complex_refuses_vertices_other_than_0_to_n(vertex_count, simplices):
+    with pytest.raises(ValueError, match=f"exactly the vertices 0..{vertex_count - 1}"):
+        SimplicialComplex(vertex_count, simplices)
 
 
 def test_isolated_vertices_kept():

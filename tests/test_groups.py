@@ -1,3 +1,4 @@
+import json
 import random
 from functools import partial
 from itertools import combinations
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from equicompress import groups
 from equicompress.actions import GroupAction
+from equicompress.cli import main
 from equicompress.complexes import build_complex
 from equicompress.errors import FormatError, GroupTooLargeError
+from equicompress.families import irregular_fixtures, regular_fixtures
 from equicompress.groups import (
     FiniteGroup,
     Subgroup,
@@ -19,6 +22,9 @@ from equicompress.groups import (
     group_to_doc,
     uniqsort,
 )
+
+from reference_groups import reference_group_from_doc
+from relabel import renumbered_s3_triangle
 
 SIGMA = [1, 0, 2, 4, 3]
 TAU = [3, 4, 2, 0, 1]
@@ -242,6 +248,96 @@ def test_group_doc_is_read_in_its_own_numbering():
     assert group.generators == [3]
     assert [group.prod(3, x) for x in range(4)] == [3, 0, 1, 2]
     assert group_to_doc(group) == doc
+
+
+def test_inverses_from_the_walk_match_a_row_scan():
+    fixtures = [*regular_fixtures().values(), *(a for a, _ in irregular_fixtures().values())]
+    closed = [action.group for action in fixtures]
+    # C_64 x C_64, rotating two 64-cycles independently
+    left = shift(64, 1) + list(range(64, 128))
+    right = list(range(64)) + [64 + v for v in shift(64, 1)]
+    closed.append(enumerate_from_generators([left, right], 128))
+    read = [group_from_doc(group_to_doc(g)) for g in closed]
+    read.append(group_from_doc(renumbered_s3_triangle()[2]["group"]))  # no closure's numbering
+    for group in closed + read:
+        table = group._mult
+        assert [group.inv(h) for h in range(group.order)] == [row.index(0) for row in table]
+
+
+def random_group_documents(rng, count):
+    """Seeded group documents, in turn: regular rows of a random group,
+    such rows with two entries of one row swapped, and random permutations."""
+    docs = []
+    while len(docs) < count:
+        kind = len(docs) % 3
+        if kind == 2:
+            n = rng.randrange(1, 13)
+            rows = [rng.sample(range(n), n) for _ in range(rng.randrange(4))]
+            docs.append({"order": n, "generators": rows})
+            continue
+        # one permutation of up to 9 points, or two of up to 5, closing to order 2..60
+        n = 0
+        while not 2 <= n <= 60:
+            k = rng.randrange(1, 3)
+            degree = rng.randrange(3, 10 if k == 1 else 6)
+            perms = [rng.sample(range(degree), degree) for _ in range(k)]
+            group = enumerate_from_generators(perms, degree)
+            n = group.order
+        # the group's own generators, or random elements that may generate less
+        picks = group.generators
+        if rng.random() < 0.5:
+            picks = [rng.randrange(n) for _ in range(rng.randrange(1, 4))]
+        # renumbered by a random phi fixing the identity: row phi(g) maps phi(x) to phi(g*x)
+        phi = [0, *rng.sample(range(1, n), n - 1)]
+        rows = [[0] * n for _ in picks]
+        for row, g in zip(rows, picks):
+            for x in range(n):
+                row[phi[x]] = phi[group.prod(g, x)]
+        if kind == 1 and n > 1:
+            row = rng.choice(rows)
+            i, j = rng.sample(range(n), 2)
+            row[i], row[j] = row[j], row[i]
+        docs.append({"order": n, "generators": rows})
+    return docs
+
+
+def group_doc_verdict(read, doc):
+    """The table ``read`` builds from the document, or its refusal as text."""
+    try:
+        return read(doc)._mult
+    except FormatError as exc:
+        return str(exc)
+
+
+NOT_REGULAR = "not a regular representation"
+
+
+def test_group_doc_check_matches_the_reference():
+    docs = random_group_documents(random.Random(18), 2400)
+    verdicts = [group_doc_verdict(group_from_doc, doc) for doc in docs]
+    assert verdicts == [group_doc_verdict(reference_group_from_doc, doc) for doc in docs]
+    refused = sum(isinstance(v, str) and NOT_REGULAR in v for v in verdicts)
+    accepted = sum(not isinstance(v, str) for v in verdicts)
+    assert refused > 300 and accepted > 300, (refused, accepted)
+
+
+def test_refused_group_docs_exit_2_at_the_generators(tmp_path, capsys):
+    docs = random_group_documents(random.Random(18), 300)
+    verdicts = [(doc, group_doc_verdict(reference_group_from_doc, doc)) for doc in docs]
+    refused = [(doc, v) for doc, v in verdicts if isinstance(v, str) and NOT_REGULAR in v][:20]
+    assert len(refused) == 20
+    path = tmp_path / "triple.json"
+    for doc, message in refused:
+        assert message.startswith("$.group.generators: ")
+        triple = {
+            "group": doc,
+            "quotient": {"vertices": 1, "maximal_simplices": []},
+            "stabilizers": [[0]],
+            "transfers": [],
+        }
+        path.write_text(json.dumps(triple))
+        assert main(["validate-triple", "--triple", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_group_equality_detects_difference():
