@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 mathematical failure (irregular action, invalid
-triple, roundtrip mismatch), 2 malformed input.  All JSON output is the text
-of ``json.dumps(doc, sort_keys=True, indent=2)``, so files are
-byte-deterministic given the inputs and flags; ``_dump`` writes it without
-the pure-Python encoder that ``indent`` selects.
+triple, roundtrip mismatch), 2 malformed input.  All JSON output is compact
+with sorted keys, one line written by ``json``'s C encoder, so files are
+byte-deterministic given the inputs and flags.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import chain
 
 from .actions import action_from_doc, action_to_doc, check_regularity, quotient
 from .bench import FAMILIES, growth_exponents, rows_to_csv, run_bench
@@ -48,44 +46,8 @@ def _write(text, path):
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
-def _indented(value, indent=""):
-    """The text of ``json.dumps(value, sort_keys=True, indent=2)`` at ``indent``.
-
-    An int list, or a list of non-empty int lists, is encoded compactly by the
-    C encoder and re-spaced: no string can hold the commas it splits at.  Dicts
-    and other lists are recursed into; ``json.dumps`` writes keys and scalars.
-    Keys must be strings, as in every document this program writes.
-    """
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)) and value:
-        types = set(map(type, value))
-        if types == {int}:
-            compact = json.dumps(value, separators=(",", ":"))
-            body = compact[1:-1].replace(",", ",\n" + inner)
-            return f"[\n{inner}{body}\n{indent}]"
-        if (
-            types <= {list, tuple}
-            and all(value)
-            and set(map(type, chain.from_iterable(value))) == {int}
-        ):
-            innermost = inner + "  "
-            compact = json.dumps(value, separators=(",", ":"))
-            body = (
-                compact[2:-2]
-                .replace(",", ",\n" + innermost)
-                .replace(f"],\n{innermost}[", f"\n{inner}],\n{inner}[\n{innermost}")
-            )
-            return f"[\n{inner}[\n{innermost}{body}\n{inner}]\n{indent}]"
-        items = [_indented(v, inner) for v in value]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if isinstance(value, dict) and value:
-        items = [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in sorted(value.items())]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    return json.dumps(value)
-
-
 def _dump(doc, path):
-    _write(_indented(doc) + "\n", path)
+    _write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", path)
 
 
 def _load_json(path):

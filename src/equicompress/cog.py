@@ -125,12 +125,13 @@ def validate_against_action(triple, action):
 
 
 def triple_to_doc(triple):
+    """The triple's document; a transfer that is the identity, element 0, is left out."""
     return {
         "group": group_to_doc(triple.group),
         "quotient": complex_to_doc(triple.quotient),
         "stabilizers": [list(s.elements) for s in triple.stabilizers],
         "transfers": [
-            [parent, child, g] for (parent, child), g in sorted(triple.transfers.items())
+            [parent, child, g] for (parent, child), g in sorted(triple.transfers.items()) if g
         ],
     }
 
@@ -138,7 +139,9 @@ def triple_to_doc(triple):
 def triple_from_doc(doc):
     """Parse a triple document, checking structure but not algebraic laws.
 
-    Keys other than the four of ``triple_to_doc`` are ignored.
+    A codimension-1 face relation with no transfer entry gets the identity, so
+    the parsed ``transfers`` has one entry per relation.  Keys other than the
+    four of ``triple_to_doc`` are ignored.
     """
     if not isinstance(doc, dict):
         raise FormatError("triple must be an object", "$")
@@ -169,7 +172,7 @@ def triple_from_doc(doc):
     transfers_doc = doc.get("transfers")
     if not isinstance(transfers_doc, list):
         raise FormatError("transfers must be a list", "$.transfers")
-    transfers = {}
+    given = {}
     for i, entry in enumerate(transfers_doc):
         where = f"$.transfers[{i}]"
         if not (isinstance(entry, list) and len(entry) == 3 and all(type(v) is int for v in entry)):
@@ -179,8 +182,13 @@ def triple_from_doc(doc):
             raise FormatError(f"({parent}, {child}) is not a codimension-1 face pair", where)
         if not 0 <= g < group.order:
             raise FormatError(f"element index {g} out of range", where)
-        if (parent, child) in transfers:
+        if (parent, child) in given:
             raise FormatError(f"duplicate transfer for ({parent}, {child})", where)
-        transfers[(parent, child)] = g
+        given[(parent, child)] = g
+    transfers = {
+        (parent, child): given.get((parent, child), 0)
+        for parent in range(len(quotient))
+        for child in quotient.faces_codim1[parent]
+    }
 
     return CompressedTriple(group, quotient, stabilizers, transfers)

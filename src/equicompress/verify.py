@@ -71,8 +71,15 @@ def verify_roundtrip(action, rc):
     points = [action.coset_points[action.orbit_ids[lift]] for lift in lifts]
     comparison = [points[y][reps[y][g]] for (y, g) in rc.labels]
 
+    # subgroups are interned per group, so each distinct (triple, action)
+    # pair is checked once, at the first class that has it
     counterexample = None
+    checked = set()
     for y, stabilizer in enumerate(stabilizers):
+        pair = (id(triple.stabilizers[y]), id(stabilizer))
+        if pair in checked:
+            continue
+        checked.add(pair)
         s = next((s for s in triple.stabilizers[y].elements if s not in stabilizer), None)
         if s is not None:
             counterexample = {"class": y, "element": s}

@@ -1,6 +1,4 @@
-import contextlib
 import copy
-import io
 import json
 import os
 import resource
@@ -16,10 +14,11 @@ import equicompress
 from equicompress import actions, cli, groups
 from equicompress.actions import GroupAction, action_to_doc, quotient
 from equicompress.cli import main
-from equicompress.cog import triple_to_doc
+from equicompress.cog import triple_from_doc, triple_to_doc
 from equicompress.complexes import build_complex, complex_to_doc, subdivision_size
 from equicompress.compress import compress
 from equicompress.families import (
+    c3_triangle_action,
     cycle_complex,
     cycle_rotation_action,
     hexagon_antipodal_action,
@@ -185,16 +184,24 @@ def test_compress_irregular_exits_1(tmp_path, capsys):
     assert report["condition"] == "pointwise-fix"
 
 
-def test_corrupted_triple_exits_1(tmp_path, capsys, hexagon_action_file):
+def test_corrupted_triple_exits_1(tmp_path, capsys):
+    action_file = write(tmp_path, "action.json", action_to_doc(c3_triangle_action(subdivisions=2)))
     triple_path = str(tmp_path / "triple.json")
-    main(["compress", "--action", hexagon_action_file, "--out", triple_path])
+    main(["compress", "--action", action_file, "--out", triple_path])
     capsys.readouterr()
     doc = json.loads(Path(triple_path).read_text())
-    doc["transfers"] = doc["transfers"][:-1]  # drop one relation
+    # list a left-out (identity) transfer below a triangle as a non-identity
+    # element, so its two paths to a shared vertex class disagree
+    triple = triple_from_doc(doc)
+    top = next(y for y in range(len(triple.quotient)) if triple.quotient.simplex_dim(y) == 2)
+    mid = triple.quotient.faces_codim1[top][0]
+    assert triple.transfers[top, mid] == 0
+    doc["transfers"].append([top, mid, 1])
     broken = write(tmp_path, "broken.json", doc)
     assert main(["reconstruct", "--triple", broken]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] is False
+    assert any(f"paths {top} >= {mid} >= " in v for v in out["violations"])
 
 
 def test_oversized_group_exits_2(tmp_path, capsys, hexagon_action_file):
@@ -609,6 +616,14 @@ _FUZZ_TRIPLE = triple_to_doc(compress(hexagon_antipodal_action()))
 # conjugation and cosets rather than from free orbits alone
 _FUZZ_STABILIZED_ACTION = action_to_doc(klein_four_bowtie_action(subdivisions=1))
 _FUZZ_STABILIZED_TRIPLE = triple_to_doc(compress(klein_four_bowtie_action(subdivisions=1)))
+# a triangle's complex of groups: most transfers are the identity and left out
+# of its document; the parent-format copy lists every one of them
+_FUZZ_TRIANGLE = compress(c3_triangle_action(subdivisions=2))
+_FUZZ_TRIANGLE_TRIPLE = triple_to_doc(_FUZZ_TRIANGLE)
+_FUZZ_TRIANGLE_TRIPLE_EXPLICIT = {
+    **_FUZZ_TRIANGLE_TRIPLE,
+    "transfers": [[p, c, g] for (p, c), g in sorted(_FUZZ_TRIANGLE.transfers.items())],
+}
 # a triple whose elements are numbered in no closure's breadth-first order
 _FUZZ_RENUMBERED_TRIPLE = renumbered_s3_triangle()[2]
 # an involution on a graph violating orbit closure, so mutations reach the
@@ -632,6 +647,8 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, data):
         (_FUZZ_TRIPLE, triple_commands),
         (_FUZZ_STABILIZED_ACTION, [*action_commands, ["roundtrip", "--action"]]),
         (_FUZZ_STABILIZED_TRIPLE, triple_commands),
+        (_FUZZ_TRIANGLE_TRIPLE, triple_commands),
+        (_FUZZ_TRIANGLE_TRIPLE_EXPLICIT, triple_commands),
         (_FUZZ_RENUMBERED_TRIPLE, triple_commands),
         (_FUZZ_IRREGULAR_ACTION, action_commands),
     ):
@@ -644,32 +661,7 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, data):
             assert main([*command, path, "--out", out]) in (0, 1, 2), (command, doc)
 
 
-_INTS = st.integers(-3, 3) | st.integers(-(10**30), 10**30)
-# commas and brackets, which the writer splits and re-spaces at, inside strings
-_TEXT = st.text(st.sampled_from(',[]{}:"\\\n\t é€\U0001f600'), max_size=6) | st.text(max_size=4)
-_INT_LISTS = st.lists(_INTS, max_size=5) | st.lists(_INTS | st.booleans(), max_size=5)
-_DOCUMENTS = st.recursive(
-    st.none() | st.booleans() | _INTS | st.floats() | _TEXT | _INT_LISTS
-    | st.lists(_INT_LISTS, max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
-    max_leaves=12,
-)
-
-
-def _dumped(doc):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._dump(doc, "-")
-    return out.getvalue()
-
-
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(_DOCUMENTS)
-def test_dump_writes_the_sorted_indented_json_text(doc):
-    assert _dumped(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def test_every_cli_artifact_is_the_sorted_indented_json_text(tmp_path, monkeypatch, capsys):
+def test_every_cli_artifact_is_the_sorted_compact_json_text(tmp_path, monkeypatch, capsys):
     written = []
     dump = cli._dump
 
@@ -700,4 +692,5 @@ def test_every_cli_artifact_is_the_sorted_indented_json_text(tmp_path, monkeypat
     capsys.readouterr()
     assert len(written) == 7 * len(regular_fixtures()) + 4 * len(irregular_fixtures())
     for doc, path in written:
-        assert Path(path).read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert Path(path).read_text() == text + "\n"

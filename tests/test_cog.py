@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from equicompress.actions import GroupAction
+from equicompress import cli
+from equicompress.actions import GroupAction, quotient
 from equicompress.cog import (
     triple_from_doc,
     triple_to_doc,
@@ -154,6 +155,33 @@ def test_doc_roundtrip_is_byte_stable():
         s.elements for s in triple.stabilizers
     ]
     assert restored.transfers == triple.transfers
+
+
+def test_parent_format_triples_parse_to_the_compact_triple(tmp_path):
+    # triples were once written indented, with every identity transfer listed,
+    # and before that with a "certificate" key (the orbit map and the lifts)
+    for name, action in regular_fixtures().items():
+        triple = compress(action)
+        path = tmp_path / f"{name}.json"
+        cli._dump(triple_to_doc(triple), str(path))
+        compact = json.loads(path.read_text())
+        assert all(g for _, _, g in compact["transfers"]), name
+        explicit = {
+            **compact,
+            "transfers": [[p, c, g] for (p, c), g in sorted(triple.transfers.items())],
+        }
+        _, orbit_map, lifts = quotient(action)
+        certified = {**explicit, "certificate": {"p": orbit_map, "lift": lifts}}
+        new = triple_from_doc(compact)
+        assert new.transfers == triple.transfers, name
+        for old_doc in (explicit, certified):
+            old = triple_from_doc(json.loads(json.dumps(old_doc, sort_keys=True, indent=2)))
+            assert old.group == new.group, name
+            assert old.quotient.simplices == new.quotient.simplices, name
+            assert [s.elements for s in old.stabilizers] == [
+                s.elements for s in new.stabilizers
+            ], name
+            assert old.transfers == new.transfers, name
 
 
 def test_triple_from_doc_structural_errors():

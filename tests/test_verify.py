@@ -100,6 +100,24 @@ def test_labels_not_closed_under_the_label_action_fail_equivariance():
     assert counterexample["element"] in action.group.generators
 
 
+def test_well_definedness_checks_each_class_whose_subgroup_pair_is_new():
+    # subgroups are interned: a class must be checked when its triple subgroup
+    # passed at an earlier class against another action subgroup (class 3
+    # below), and when its action subgroup passed against another triple
+    # subgroup (class 1)
+    action = regular_fixtures()["c3-triangle-sd2"]
+    _, rc = roundtrip(action)
+    triple = rc.triple
+    full = triple.group.full_subgroup()
+    assert [len(s) for s in triple.stabilizers[:4]] == [1, 1, 3, 1]
+    for y in (3, 1):
+        stabilizers = list(triple.stabilizers)
+        stabilizers[y] = full
+        widened = CompressedTriple(triple.group, triple.quotient, stabilizers, triple.transfers)
+        report = verify_roundtrip(action, ReconstructedComplex(rc.complex, rc.labels, widened))
+        assert report.properties["well-defined"] == (False, {"class": y, "element": 1})
+
+
 def test_quotient_identity():
     for name, action in regular_fixtures().items():
         for acted in (action, relabelled(action)[0]):
