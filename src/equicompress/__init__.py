@@ -20,7 +20,6 @@ from .cog import (
     ValidationReport,
     triple_from_doc,
     triple_to_doc,
-    validate_against_action,
     validate_triple,
 )
 from .complexes import (
@@ -33,7 +32,6 @@ from .complexes import (
 )
 from .compress import compress, compression_ratio
 from .errors import (
-    BruteForceBoundError,
     ComplexTooLargeError,
     EquicompressError,
     FormatError,
@@ -46,11 +44,10 @@ from .errors import (
     TripleValidationError,
 )
 from .groups import FiniteGroup, Subgroup, enumerate_from_generators, uniqsort
-from .reconstruct import ReconstructedComplex, check_partial_order, reconstruct, recovered_action
-from .verify import EquivarianceReport, find_equivariant_isomorphism, verify_roundtrip
+from .reconstruct import ReconstructedComplex, reconstruct, recovered_action
+from .verify import EquivarianceReport, verify_roundtrip
 
 __all__ = [
-    "BruteForceBoundError",
     "ComplexTooLargeError",
     "CompressedTriple",
     "EquicompressError",
@@ -74,7 +71,6 @@ __all__ = [
     "action_to_doc",
     "barycentric_subdivision",
     "build_complex",
-    "check_partial_order",
     "check_regularity",
     "complex_from_doc",
     "complex_to_doc",
@@ -82,7 +78,6 @@ __all__ = [
     "compress",
     "compression_ratio",
     "enumerate_from_generators",
-    "find_equivariant_isomorphism",
     "induced_action_on_subdivision",
     "quotient",
     "reconstruct",
@@ -90,7 +85,6 @@ __all__ = [
     "triple_from_doc",
     "triple_to_doc",
     "uniqsort",
-    "validate_against_action",
     "validate_triple",
     "verify_roundtrip",
 ]

@@ -97,7 +97,8 @@ def cmd_subdivide(args):
             raise FormatError("required unless --action is given", "--complex")
         else:
             complex_ = _load_complex(args.complex)
-            for _ in range(args.times):
+            # the subdivision of points is the identity
+            for _ in range(args.times if complex_.dim > 0 else 0):
                 complex_ = barycentric_subdivision(complex_)
             _dump(complex_to_doc(complex_), args.out)
     except (ComplexTooLargeError, GroupTooLargeError) as exc:

@@ -4,14 +4,16 @@ A triple is algebraically valid when conjugation by each transfer carries the
 parent stabilizer into the child stabilizer, and any two descending
 codimension-1 transfer paths between the same endpoints agree up to the
 bottom stabilizer (the executable shadow of the cocycle condition).
+``validate_triple`` reads the triple alone; the test oracle
+``validate_against_action`` in ``tests/oracles.py`` checks a triple against the
+action it came from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .actions import quotient
-from .complexes import complex_from_doc, complex_to_doc, complexes_equal
+from .complexes import complex_from_doc, complex_to_doc
 from .errors import FormatError
 from .groups import group_from_doc, group_to_doc
 
@@ -90,40 +92,6 @@ def validate_triple(triple):
     return ValidationReport(not violations, violations)
 
 
-def validate_against_action(triple, action):
-    """Check that stabilizers and transfers really describe the action.
-
-    The quotient, orbit map and lifts are recomputed from the action; a triple
-    over any other quotient is reported as one violation.  Raises
-    RegularityViolationError for an irregular action.
-    """
-    if triple.group is not action.group and triple.group != action.group:
-        return ValidationReport(False, ["triple and action use different groups"])
-    quotient_complex, orbit_map, lifts = quotient(action)
-    if not complexes_equal(quotient_complex, triple.quotient):
-        return ValidationReport(False, ["triple's quotient is not the action's quotient"])
-
-    violations = []
-    for y, lift in enumerate(lifts):
-        if action.stab(lift).elements != triple.stabilizers[y].elements:
-            violations.append(f"stabilizer of class {y} differs from the lift's stabilizer")
-
-    for (parent, child), g in sorted(triple.transfers.items()):
-        matching = [z for z in action.complex.faces_codim1[lifts[parent]] if orbit_map[z] == child]
-        if len(matching) != 1:
-            violations.append(
-                f"lift of class {parent} has {len(matching)} faces over class {child}"
-            )
-            continue
-        if action.act_on_simplex(g, matching[0]) != lifts[child]:
-            violations.append(
-                f"transfer of {parent} >= {child} does not carry the matching face "
-                f"onto the child lift"
-            )
-
-    return ValidationReport(not violations, violations)
-
-
 def triple_to_doc(triple):
     """The triple's document; a transfer that is the identity, element 0, is left out."""
     return {
@@ -141,13 +109,12 @@ def triple_from_doc(doc):
 
     A codimension-1 face relation with no transfer entry gets the identity, so
     the parsed ``transfers`` has one entry per relation.  Keys other than the
-    four of ``triple_to_doc`` are ignored.
+    four of ``triple_to_doc`` are ignored.  The quotient and the stabilizer
+    count are checked before the group is built, the costliest step.
     """
     if not isinstance(doc, dict):
         raise FormatError("triple must be an object", "$")
-    group = group_from_doc(doc.get("group"))
     quotient = complex_from_doc(doc.get("quotient"), "$.quotient")
-
     stabilizers_doc = doc.get("stabilizers")
     if not isinstance(stabilizers_doc, list) or len(stabilizers_doc) != len(quotient):
         raise FormatError(
@@ -155,6 +122,8 @@ def triple_from_doc(doc):
             f"({len(quotient)} expected)",
             "$.stabilizers",
         )
+    group = group_from_doc(doc.get("group"))
+
     stabilizers = []
     for i, members in enumerate(stabilizers_doc):
         where = f"$.stabilizers[{i}]"

@@ -41,7 +41,11 @@ class TripleValidationError(EquicompressError):
 
 
 class ReconstructionIntegrityError(EquicompressError):
-    """Two labels span one vertex set, or a face test of ``check_partial_order`` is ill defined."""
+    """Two labels of a reconstruction span one vertex set.
+
+    The test oracle ``check_partial_order`` also raises it for a face test that
+    depends on the coset representative.
+    """
 
 
 class FormatError(EquicompressError):
@@ -57,7 +61,3 @@ class FormatError(EquicompressError):
 
 class InputMismatchError(EquicompressError):
     """Verifier inputs refer to different groups or complexes."""
-
-
-class BruteForceBoundError(EquicompressError):
-    """An exhaustive search was refused because the input exceeds the bound."""

@@ -47,7 +47,13 @@ def trivial_action(complex_):
 
 
 def subdivide_action(action, times=1):
-    """Push an action through ``times`` barycentric subdivisions."""
+    """Push an action through ``times`` barycentric subdivisions.
+
+    The subdivision of a complex of dimension 0 or less is the complex itself,
+    so such an action comes back unchanged, however large ``times`` is.
+    """
+    if action.complex.dim <= 0:
+        return action
     for _ in range(times):
         action = induced_action_on_subdivision(action)
     return action

@@ -6,6 +6,9 @@ of y, i.e. a g with ``coset_reps[g] == g``.  The simplex (y, g) has one vertex
 over each vertex class v of y, namely (v, minrep(S(v), g * P(y, v)^-1)), where
 P(y, v) composes the transfers down a descending path from y to v: this is the
 development of the complex of groups (Bridson-Haefliger III.C).
+``check_partial_order`` in ``tests/oracles.py`` cross-checks the result by brute
+force: the face relation recomputed over every comparable label pair is the
+containment order of the complex.
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ from itertools import repeat
 from .actions import GroupAction
 from .cog import validate_triple
 from .complexes import MAX_SIMPLICES, SimplicialComplex
-from .errors import (
-    BruteForceBoundError,
-    ComplexTooLargeError,
-    ReconstructionIntegrityError,
-    TripleValidationError,
-)
+from .errors import ComplexTooLargeError, ReconstructionIntegrityError, TripleValidationError
 
 
 class ReconstructedComplex:
@@ -113,91 +111,3 @@ def recovered_action(rc):
             row[v] = vertex_ids[(y, moved)]
         images.append(row)
     return GroupAction(group, rc.complex, images)
-
-
-def check_partial_order(rc):
-    """Brute-force verification that the face relation is a partial order.
-
-    Recomputes the relation for every comparable label pair (any codimension,
-    transfers composed along a canonical descending path), checks reflexivity,
-    antisymmetry, transitivity and independence of the coset representative,
-    and confirms it coincides with the containment order of the complex.
-    Raises BruteForceBoundError past 10^4 comparable label pairs.
-    """
-    triple = rc.triple
-    group, quotient, transfers = triple.group, triple.quotient, triple.transfers
-
-    descendants = [None] * len(quotient)
-
-    def descend(y):
-        if descendants[y] is None:
-            out = {y}
-            for child in quotient.faces_codim1[y]:
-                out.update(descend(child))
-            descendants[y] = out
-        return descendants[y]
-
-    path_transfer = {}
-
-    def transfer_along(y, target):
-        if y == target:
-            return 0
-        key = (y, target)
-        if key not in path_transfer:
-            child = next(c for c in quotient.faces_codim1[y] if target in descend(c))
-            path_transfer[key] = group.prod(transfer_along(child, target), transfers[y, child])
-        return path_transfer[key]
-
-    comparable = [
-        (a, b)
-        for a, (ya, _) in enumerate(rc.labels)
-        for b, (yb, _) in enumerate(rc.labels)
-        if yb in descend(ya)
-    ]
-    if len(comparable) > 10**4:
-        raise BruteForceBoundError(
-            f"{len(comparable)} candidate relations exceed the bound 10000"
-        )
-
-    def related(a, b):
-        ya, ga = rc.labels[a]
-        yb, gb = rc.labels[b]
-        if yb not in descend(ya):
-            return False
-        stab_b = triple.stabilizers[yb]
-        phi = transfer_along(ya, yb)
-        verdicts = set()
-        for s in triple.stabilizers[ya].elements:  # representative independence
-            shifted = group.prod(ga, s)
-            pulled = group.prod(shifted, group.inv(phi))
-            verdicts.add(group.minrep(stab_b, pulled) == gb)
-        if len(verdicts) != 1:
-            raise ReconstructionIntegrityError(
-                f"face test for {rc.labels[a]} over {rc.labels[b]} depends on the "
-                f"coset representative"
-            )
-        return verdicts.pop()
-
-    relation = {(a, b) for a, b in comparable if related(a, b)}
-
-    for a in range(len(rc.labels)):
-        if (a, a) not in relation:
-            return False
-    for a, b in relation:
-        if a != b and (b, a) in relation:
-            return False
-    by_upper = {}
-    for a, b in relation:
-        by_upper.setdefault(a, set()).add(b)
-    for a, b in relation:
-        for c in by_upper.get(b, ()):
-            if (a, c) not in relation:
-                return False
-
-    containment = {
-        (a, b)
-        for a in range(len(rc.labels))
-        for b in range(len(rc.labels))
-        if set(rc.complex.simplices[b]) <= set(rc.complex.simplices[a])
-    }
-    return relation == containment

@@ -33,8 +33,9 @@ from equicompress.families import (
     twelve_cycle_shift_action,
 )
 from equicompress.reconstruct import reconstruct, recovered_action
-from equicompress.verify import find_equivariant_isomorphism, verify_roundtrip
+from equicompress.verify import verify_roundtrip
 
+from oracles import find_equivariant_isomorphism
 from relabel import moved_lifts, relabelled
 from test_oracle import micro_fixtures, oracle_reconstruct
 

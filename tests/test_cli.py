@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equicompress
-from equicompress import actions, cli, groups
+from equicompress import actions, cli, cog, groups
 from equicompress.actions import GroupAction, action_to_doc, quotient
 from equicompress.cli import main
 from equicompress.cog import triple_from_doc, triple_to_doc
@@ -87,11 +87,60 @@ def test_subdivide_regularizes_action(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("form", ["complex", "action"])
+def test_subdivide_of_points_runs_no_pass(tmp_path, capsys, monkeypatch, form):
+    # the subdivision of isolated vertices is the identity, so a huge --times
+    # stops at once instead of repeating it
+    points = build_complex([], vertex_count=3)
+    if form == "complex":
+        argv = ["subdivide", "--complex", write(tmp_path, "points.json", complex_to_doc(points))]
+    else:
+        action = GroupAction.from_generator_perms([[1, 2, 0]], points)
+        argv = ["subdivide", "--action", write(tmp_path, "points.json", action_to_doc(action))]
+    assert main([*argv, "--times", "0"]) == 0
+    unsubdivided = capsys.readouterr().out
+    calls = []
+    subdivide = cli.barycentric_subdivision
+    for module in (cli, actions):
+        monkeypatch.setattr(
+            module, "barycentric_subdivision", lambda c: calls.append(c) or subdivide(c)
+        )
+    assert main([*argv, "--times", "1000"]) == 0
+    assert capsys.readouterr().out == unsubdivided
+    assert calls == []
+
+
 def test_quotient(tmp_path, capsys, hexagon_action_file):
     assert main(["quotient", "--action", hexagon_action_file]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["quotient"]["vertices"] == 3
     assert len(doc["p"]) == 12
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check-regular"], ["quotient"], ["compress"], ["roundtrip"], ["subdivide", "--times", "1"]],
+    ids=lambda command: command[0],
+)
+def test_split_action_form_writes_the_inline_output(tmp_path, capsys, command):
+    # an action file may leave its complex out and name it with --complex
+    doc = action_to_doc(klein_four_bowtie_action(subdivisions=2))
+    inline = write(tmp_path, "inline.json", doc)
+    complex_path = write(tmp_path, "complex.json", doc.pop("complex"))
+    split = write(tmp_path, "split.json", doc)
+    runs = {
+        "inline": ["--action", inline],
+        "split": ["--action", split, "--complex", complex_path],
+    }
+    for name, files in runs.items():
+        assert main([*command, *files, "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "split").read_bytes() == (tmp_path / "inline").read_bytes()
+
+    assert main([*command, "--action", split]) == 2
+    assert "error: $: action file has no inline complex and --complex not given" in (
+        capsys.readouterr().err
+    )
 
 
 def test_compress_reconstruct_roundtrip(tmp_path, capsys, hexagon_action_file):
@@ -545,6 +594,21 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, content):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
+
+
+def test_stabilizer_count_is_checked_before_the_group_is_built(tmp_path, capsys, monkeypatch):
+    # a C_4096 triple listing two stabilizers for its one class
+    doc = json.loads(_triple_over({"order": 4096, "generators": [[*range(1, 4096), 0]]}))
+    doc["stabilizers"].append([0])
+    path = write(tmp_path, "triple.json", doc)
+
+    def refuse(*_):
+        raise AssertionError("the group was built before the stabilizer count was checked")
+
+    monkeypatch.setattr(cog, "group_from_doc", refuse)
+    for command in ("validate-triple", "reconstruct"):
+        assert main([command, "--triple", path]) == 2
+        assert capsys.readouterr().err.startswith("error: $.stabilizers: ")
 
 
 def test_reconstruct_of_a_triple_failing_assembly_exits_1(tmp_path, capsys):

@@ -8,7 +8,6 @@ from equicompress.actions import GroupAction, quotient
 from equicompress.cog import (
     triple_from_doc,
     triple_to_doc,
-    validate_against_action,
     validate_triple,
 )
 from equicompress.compress import compress
@@ -21,6 +20,7 @@ from equicompress.families import (
 )
 from equicompress.groups import Subgroup
 from equicompress.reconstruct import reconstruct
+from oracles import validate_against_action
 from relabel import renumbered_s3_triangle
 
 

@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import equicompress
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "equicompress"
 
 
@@ -26,3 +28,10 @@ def test_runtime_imports_only_the_standard_library():
     assert len(modules) > 1
     outside = {path.name: list(outside_imports(path)) for path in modules}
     assert not any(outside.values()), outside
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from equicompress import *", namespace)
+    assert len(set(equicompress.__all__)) == len(equicompress.__all__)
+    assert not set(equicompress.__all__) - set(namespace)

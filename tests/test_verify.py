@@ -6,11 +6,7 @@ from equicompress.actions import GroupAction, quotient
 from equicompress.bench import counted
 from equicompress.cog import CompressedTriple
 from equicompress.compress import compress
-from equicompress.errors import (
-    BruteForceBoundError,
-    InputMismatchError,
-    NotAnAutomorphismError,
-)
+from equicompress.errors import InputMismatchError, NotAnAutomorphismError
 from equicompress.families import (
     cycle_complex,
     cycle_rotation_action,
@@ -21,11 +17,10 @@ from equicompress.reconstruct import ReconstructedComplex, reconstruct, recovere
 from equicompress.verify import (
     PROPERTIES,
     EquivarianceReport,
-    find_equivariant_isomorphism,
-    verify_quotient_identity,
     verify_roundtrip,
 )
 
+from oracles import BruteForceBoundError, find_equivariant_isomorphism, verify_quotient_identity
 from relabel import moved_lifts, relabelled
 
 
