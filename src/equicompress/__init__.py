@@ -39,11 +39,10 @@ from .errors import (
     InputMismatchError,
     MalformedSimplexError,
     NotAnAutomorphismError,
-    ReconstructionIntegrityError,
     RegularityViolationError,
     TripleValidationError,
 )
-from .groups import FiniteGroup, Subgroup, enumerate_from_generators, uniqsort
+from .groups import FiniteGroup, Subgroup, enumerate_from_generators
 from .reconstruct import ReconstructedComplex, reconstruct, recovered_action
 from .verify import EquivarianceReport, verify_roundtrip
 
@@ -60,7 +59,6 @@ __all__ = [
     "MalformedSimplexError",
     "NotAnAutomorphismError",
     "ReconstructedComplex",
-    "ReconstructionIntegrityError",
     "RegularityReport",
     "RegularityViolationError",
     "SimplicialComplex",
@@ -84,7 +82,6 @@ __all__ = [
     "recovered_action",
     "triple_from_doc",
     "triple_to_doc",
-    "uniqsort",
     "validate_triple",
     "verify_roundtrip",
 ]

@@ -349,11 +349,13 @@ def induced_action_on_subdivision(action):
 
 
 def action_to_doc(action):
+    """The action's document; generator names are zero-padded to one width, so
+    that sorted keys list the generators in index order."""
     n = action.complex.vertex_count  # vertex v is simplex v
+    rows = action.generator_rows
+    width = len(str(len(rows) - 1))
     return {
-        "group": {
-            "generators": {f"g{i}": row[:n] for i, row in enumerate(action.generator_rows)}
-        },
+        "group": {"generators": {f"g{i:0{width}}": row[:n] for i, row in enumerate(rows)}},
         "complex": complex_to_doc(action.complex),
     }
 

@@ -1,9 +1,12 @@
 """The compressed data model: quotient complex, stabilizers, transfers.
 
 A triple is algebraically valid when conjugation by each transfer carries the
-parent stabilizer into the child stabilizer, and any two descending
+parent stabilizer into the child stabilizer, each stabilizer is all of what
+the transfers carry into its facets' stabilizers (the local-group law of a
+complex of groups that comes from an action), and any two descending
 codimension-1 transfer paths between the same endpoints agree up to the
-bottom stabilizer (the executable shadow of the cocycle condition).
+bottom stabilizer (the executable shadow of the cocycle condition).  A valid
+triple always reconstructs.
 ``validate_triple`` reads the triple alone; the test oracle
 ``validate_against_action`` in ``tests/oracles.py`` checks a triple against the
 action it came from.
@@ -36,7 +39,13 @@ class ValidationReport:
 
 
 def validate_triple(triple):
-    """Check domain totality, conjugation embeddings and path independence."""
+    """Check domain totality, conjugation embeddings, the local-group law and
+    path independence.
+
+    The law is S(y) = the intersection of T(y>=c)^-1 S(c) T(y>=c) over the
+    facets c of y; a violation names y and the least element of the
+    intersection outside S(y).  It is checked only once every embedding holds.
+    """
     group, quotient = triple.group, triple.quotient
     violations = []
 
@@ -69,6 +78,31 @@ def validate_triple(triple):
                     f"to {conjugate}, outside the child stabilizer"
                 )
                 break
+
+    # The converse, once containment holds: S(y) is all of the intersection
+    # of T(y>=c)^-1 S(c) T(y>=c) over the facets c of y.  Containment puts S(y)
+    # in each conjugate, so a facet stabilizer as large as S(y) settles it.
+    if not violations:
+        stabilizers = triple.stabilizers
+        orders = [len(s) for s in stabilizers]
+        for y, facets in enumerate(quotient.faces_codim1):
+            if not facets or orders[y] in [orders[c] for c in facets]:
+                continue
+            # the smallest facet stabilizer conjugated back, cut down by the others
+            first, *rest = sorted(facets, key=orders.__getitem__)
+            g = triple.transfers[y, first]
+            g_inv = group.inv(g)
+            meet = [group.prod(group.prod(g_inv, s), g) for s in stabilizers[first].elements]
+            for c in rest:
+                g = triple.transfers[y, c]
+                g_inv = group.inv(g)
+                meet = [x for x in meet if group.prod(group.prod(g, x), g_inv) in stabilizers[c]]
+            if len(meet) != orders[y]:
+                extra = min(x for x in meet if x not in stabilizers[y])
+                violations.append(
+                    f"stabilizer of class {y} lacks element {extra}, which every transfer "
+                    f"of {y} conjugates into the facet's stabilizer"
+                )
 
     # Path independence over every pair of descending codim-1 paths of
     # length two sharing both endpoints.

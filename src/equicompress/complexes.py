@@ -8,7 +8,6 @@ be a plain list and serialization is byte-deterministic.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -45,32 +44,14 @@ class SimplicialComplex:
             for s in self.simplices
         ]
 
-    @cached_property
-    def cofaces_up(self):
-        """Per simplex, the ids of the simplices it is a facet of, ascending."""
-        cofaces = [[] for _ in self.simplices]
-        for sid, facets in enumerate(self.faces_codim1):
-            for fid in facets:
-                cofaces[fid].append(sid)
-        return cofaces
-
     def __len__(self):
         return len(self.simplices)
-
-    def simplex_dim(self, sid):
-        return len(self.simplices[sid]) - 1
-
-    def ids_of_dim(self, d):
-        return [i for i, s in enumerate(self.simplices) if len(s) == d + 1]
 
     def counts_by_dim(self):
         counts = [0] * (self.dim + 1)
         for s in self.simplices:
             counts[len(s) - 1] += 1
         return counts
-
-    def euler_characteristic(self):
-        return sum((-1) ** d * c for d, c in enumerate(self.counts_by_dim()))
 
     def maximal_simplices(self):
         facets = {fid for ids in self.faces_codim1 for fid in ids}

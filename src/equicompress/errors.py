@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A triple that passes ``validate_triple`` always reconstructs; ``reconstruct``
+refuses any other with ``TripleValidationError``, which carries the report.
+"""
 
 
 class EquicompressError(Exception):
@@ -38,14 +42,6 @@ class TripleValidationError(EquicompressError):
     def __init__(self, report):
         super().__init__("invalid compressed triple: " + "; ".join(report.violations[:3]))
         self.report = report
-
-
-class ReconstructionIntegrityError(EquicompressError):
-    """Two labels of a reconstruction span one vertex set.
-
-    The test oracle ``check_partial_order`` also raises it for a face test that
-    depends on the coset representative.
-    """
 
 
 class FormatError(EquicompressError):

@@ -5,7 +5,8 @@ rotations and reflections, the bow-tie (two triangles glued at a point) with
 its flip symmetries, the solid triangle with its rotation, and cones over
 polygons.  Most raw actions here are irregular; ``subdivide_action`` pushes an
 action through barycentric subdivision, and two subdivisions always produce a
-regular action.
+regular action.  The builders return raw actions, ``wheel_rotation_action``
+excepted; a subdivided one is ``subdivide_action(builder(), n)``.
 """
 
 from __future__ import annotations
@@ -59,21 +60,19 @@ def subdivide_action(action, times=1):
     return action
 
 
-def c3_triangle_action(subdivisions=0):
+def c3_triangle_action():
     """Order-3 rotation of the solid triangle (regular after 2 subdivisions)."""
-    action = GroupAction.from_generator_perms([[1, 2, 0]], triangle_complex())
-    return subdivide_action(action, subdivisions)
+    return GroupAction.from_generator_perms([[1, 2, 0]], triangle_complex())
 
 
-def klein_four_bowtie_action(subdivisions=0):
+def klein_four_bowtie_action():
     """The two flips of the bow-tie: left-right within each triangle, and the
     swap of the two triangles.  Raw, the within-triangle flip stabilizes the
     left triangle without fixing its vertices; one subdivision already makes
     the action regular."""
     sigma = [1, 0, 2, 4, 3]
     tau = [3, 4, 2, 0, 1]
-    action = GroupAction.from_generator_perms([sigma, tau], bowtie_complex())
-    return subdivide_action(action, subdivisions)
+    return GroupAction.from_generator_perms([sigma, tau], bowtie_complex())
 
 
 def cycle_rotation_action(m):
@@ -91,11 +90,10 @@ def dihedral_cycle_action(m):
     return GroupAction.from_generator_perms([shift, mirror], cycle_complex(n))
 
 
-def wheel_rotation_action(m, subdivisions=2):
-    """Order-m rotation of the cone over an m-gon, twice subdivided by default."""
+def wheel_rotation_action(m):
+    """Order-m rotation of the cone over an m-gon, twice subdivided to be regular."""
     perm = [(v + 1) % m for v in range(m)] + [m]
-    action = GroupAction.from_generator_perms([perm], wheel_complex(m))
-    return subdivide_action(action, subdivisions)
+    return subdivide_action(GroupAction.from_generator_perms([perm], wheel_complex(m)), 2)
 
 
 def hexagon_antipodal_action():
@@ -114,8 +112,8 @@ def regular_fixtures():
     """Named regular actions used across the test and benchmark suites."""
     fixtures = {
         "trivial-triangle": trivial_action(triangle_complex()),
-        "c3-triangle-sd2": c3_triangle_action(subdivisions=2),
-        "klein-bowtie-sd2": klein_four_bowtie_action(subdivisions=2),
+        "c3-triangle-sd2": subdivide_action(c3_triangle_action(), 2),
+        "klein-bowtie-sd2": subdivide_action(klein_four_bowtie_action(), 2),
         "hexagon-antipodal": hexagon_antipodal_action(),
     }
     for m in (2, 3, 4, 6, 8, 12):
@@ -129,7 +127,7 @@ def irregular_fixtures():
     """Named irregular actions with the condition each one violates."""
     return {
         "klein-bowtie-raw": (klein_four_bowtie_action(), "pointwise-fix"),
-        "c3-triangle-sd1": (c3_triangle_action(subdivisions=1), "orbit-closure"),
+        "c3-triangle-sd1": (subdivide_action(c3_triangle_action()), "orbit-closure"),
         "twelve-cycle-shift2": (twelve_cycle_shift_action(), "orbit-closure"),
         "hexagon-rotation": (
             GroupAction.from_generator_perms(

@@ -28,11 +28,6 @@ DEFAULT_MAX_ORDER = 4096
 MAX_TABLE_ENTRIES = 1 << 25
 
 
-def uniqsort(elements):
-    """Sort element indices ascending and drop duplicates."""
-    return sorted(set(elements))
-
-
 class FiniteGroup:
     """A finite group as its multiplication table.
 
@@ -79,14 +74,11 @@ class FiniteGroup:
 
     def subgroup(self, members):
         """The one ``Subgroup`` with these members, checked when first built."""
-        key = tuple(uniqsort(members))
+        key = tuple(sorted(set(members)))
         subgroup = self._subgroups.get(key)
         if subgroup is None:
             subgroup = self._subgroups[key] = Subgroup(self, key)
         return subgroup
-
-    def trivial_subgroup(self):
-        return self.subgroup([0])
 
     def full_subgroup(self):
         return self.subgroup(range(self.order))
@@ -129,7 +121,7 @@ class Subgroup:
 
     def __init__(self, group, members):
         self._mult = group._mult
-        self.elements = uniqsort(members)
+        self.elements = sorted(set(members))
         if not self.elements or self.elements[0] != 0:
             raise ValueError("subgroup must contain the identity")
         if self.elements[-1] >= group.order:

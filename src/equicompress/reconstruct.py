@@ -18,7 +18,7 @@ from itertools import repeat
 from .actions import GroupAction
 from .cog import validate_triple
 from .complexes import MAX_SIMPLICES, SimplicialComplex
-from .errors import ComplexTooLargeError, ReconstructionIntegrityError, TripleValidationError
+from .errors import ComplexTooLargeError, TripleValidationError
 
 
 class ReconstructedComplex:
@@ -41,7 +41,13 @@ def reconstruct(triple):
     each changing the composite by an element of S(mid) that the rest of the
     path conjugates into S(v).  So g * P(y, v)^-1 * S(v) depends neither on the
     path nor on the representative of g, and each facet of a label's vertex set
-    is the vertex set of its facet label.
+    is the vertex set of its facet label.  Two labels g, g' over y span one
+    vertex set exactly when g^-1 * g' lies in the intersection of
+    P(y, v)^-1 * S(v) * P(y, v) over the vertex classes v of y; the local-group
+    law that ``validate_triple`` checks, S(y) = the intersection of
+    T(y>=c)^-1 * S(c) * T(y>=c) over the facets c of y, makes that
+    intersection S(y) by induction on dimension, so distinct labels span
+    distinct vertex sets.
 
     Raises ComplexTooLargeError, before any label is listed, when the
     reconstruction would hold more than ``MAX_SIMPLICES`` simplices.
@@ -86,8 +92,6 @@ def reconstruct(triple):
         ]
         vertex_sets.extend(zip(*columns))
 
-    if len(set(vertex_sets)) != len(vertex_sets):
-        raise ReconstructionIntegrityError("two labels span the same vertex set")
     complex_ = SimplicialComplex(sum(map(len, vertex_ids)), vertex_sets)
     ordered = [None] * len(complex_)
     for sid, label in zip(map(complex_.index.__getitem__, vertex_sets), labels):

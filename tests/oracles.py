@@ -10,22 +10,25 @@ with bounds on the inputs they search:
 - ``find_equivariant_isomorphism`` searches for a simplicial bijection that
   commutes with two actions;
 - ``verify_quotient_identity`` checks that the action recovered from a
-  reconstruction has the stored quotient, class by class.
+  reconstruction has the stored quotient, class by class;
+- ``check_development`` checks that a reconstructed triple is the complex of
+  groups of its own development.
 """
 
 from equicompress.actions import quotient
 from equicompress.cog import ValidationReport
 from equicompress.complexes import complexes_equal
-from equicompress.errors import (
-    EquicompressError,
-    InputMismatchError,
-    ReconstructionIntegrityError,
-)
+from equicompress.compress import compress
+from equicompress.errors import EquicompressError, InputMismatchError
 from equicompress.reconstruct import recovered_action
 
 
 class BruteForceBoundError(EquicompressError):
     """An exhaustive search was refused because the input exceeds the bound."""
+
+
+class ReconstructionIntegrityError(EquicompressError):
+    """A face test of ``check_partial_order`` depends on the coset representative."""
 
 
 def validate_against_action(triple, action):
@@ -171,6 +174,10 @@ def find_equivariant_isomorphism(action_a, action_b, bound=300):
 
     # orbits in breadth-first order along edges, so that each placed orbit
     # closes simplices with the orbits placed before it
+    neighbours = [[] for _ in range(a.vertex_count)]  # in canonical edge order
+    for u, w in (s for s in a.simplices if len(s) == 2):
+        neighbours[u].append(w)
+        neighbours[w].append(u)
     reps = []
     orbit_of_a = [-1] * a.vertex_count
     for start in range(a.vertex_count):
@@ -181,7 +188,7 @@ def find_equivariant_isomorphism(action_a, action_b, bound=300):
             for g in range(group.order):
                 orbit_of_a[action_a.act_on_simplex(g, v)] = len(reps)
             reps.append(v)
-            queue.extend(u for e in a.cofaces_up[v] for u in a.simplices[e] if u != v)
+            queue.extend(neighbours[v])
 
     # simplices checkable once the orbits of their vertices are all assigned
     checkpoints = [[] for _ in reps]
@@ -247,3 +254,33 @@ def verify_quotient_identity(rc, expected_quotient):
     return complexes_equal(computed, expected_quotient) and all(
         orbit_map[sid] == y for sid, (y, _) in enumerate(rc.labels)
     )
+
+
+def check_development(rc):
+    """Whether a reconstructed triple is the complex of groups of its development.
+
+    T' = ``compress(recovered_action(rc))``, and the lift of class y there is
+    a label (y, h_y).  T' must have T's quotient with T's class numbering,
+    S'(y) = h_y S(y) h_y^-1, and h_c^-1 T'(y>=c) h_y in S(c) T(y>=c) for every
+    relation y >= c (Bridson-Haefliger III.C).  On a compress output every
+    h_y is the identity and T' = T.
+    """
+    triple = rc.triple
+    group, stabilizers = triple.group, triple.stabilizers
+    action = recovered_action(rc)
+    developed = compress(action)
+    if not complexes_equal(developed.quotient, triple.quotient):
+        return False
+    _, _, lifts = quotient(action)
+    if any(rc.labels[lift][0] != y for y, lift in enumerate(lifts)):
+        return False
+    h = [rc.labels[lift][1] for lift in lifts]
+    for y, s_y in enumerate(stabilizers):
+        conjugate = {group.prod(group.prod(h[y], s), group.inv(h[y])) for s in s_y.elements}
+        if developed.stabilizers[y].elements != sorted(conjugate):
+            return False
+    for (y, c), t in developed.transfers.items():
+        shift = group.prod(group.prod(group.inv(h[c]), t), h[y])
+        if group.prod(shift, group.inv(triple.transfers[y, c])) not in stabilizers[c]:
+            return False
+    return True

@@ -98,7 +98,7 @@ def test_criterion_4_regularization():
     cases = [
         (klein_four_bowtie_action(), "pointwise-fix"),
         (twelve_cycle_shift_action(), "orbit-closure"),
-        (c3_triangle_action(subdivisions=1), "orbit-closure"),
+        (subdivide_action(c3_triangle_action()), "orbit-closure"),
     ]
     for action, condition in cases:
         report = check_regularity(action)
@@ -176,7 +176,7 @@ def test_criterion_7_complexity():
         # one trans per facet of each lift; one minrep per facet of each
         # reconstructed simplex
         triple, compress_counts = counted(action, lambda: compress(action))
-        dims = [triple.quotient.simplex_dim(y) for y in range(len(triple.quotient))]
+        dims = [len(s) - 1 for s in triple.quotient.simplices]
         assert compress_counts["trans"] == sum(d + 1 for d in dims if d >= 1), name
         _, reconstruct_counts = counted(action, lambda: reconstruct(triple))
         k = action.group.order

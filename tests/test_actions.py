@@ -207,7 +207,7 @@ def test_second_subdivision_regularizes():
     for action in (
         klein_four_bowtie_action(),
         twelve_cycle_shift_action(),
-        c3_triangle_action(subdivisions=1),
+        subdivide_action(c3_triangle_action()),
     ):
         assert not check_regularity(action).regular
         assert check_regularity(subdivide_action(action, 2)).regular

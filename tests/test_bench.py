@@ -33,7 +33,7 @@ def test_row_shape_and_parameter_bounds():
     # every phase made at least one counted call
     assert row["compress_trans"] > 0
     # sum_{dim y >= 1} [G:S(y)]*(dim y + 1); the cycle's edges are free
-    edges = len(triple.quotient.ids_of_dim(1))
+    edges = triple.quotient.counts_by_dim()[1]
     assert row["reconstruct_minrep"] == k * edges * 2
 
 
@@ -62,7 +62,7 @@ def call_each_subroutine(action):
     group = action.group
     group.prod(1, 1)
     group.inv(1)
-    group.minrep(group.trivial_subgroup(), 1)
+    group.minrep(group.subgroup([0]), 1)
     action.stab(0)
     action.trans(0, 1)
 

@@ -25,6 +25,7 @@ from equicompress.families import (
     irregular_fixtures,
     klein_four_bowtie_action,
     regular_fixtures,
+    subdivide_action,
     trivial_action,
     triangle_complex,
 )
@@ -110,6 +111,23 @@ def test_subdivide_of_points_runs_no_pass(tmp_path, capsys, monkeypatch, form):
     assert calls == []
 
 
+def test_generator_names_sort_in_index_order(tmp_path, capsys):
+    # C_2^11 swapping 11 pairs of 22 isolated points: named g0..g10, sorted
+    # keys would list g10 before g2, so rewriting the action would renumber
+    # the group and change every stabilizer list
+    points = build_complex([], vertex_count=22)
+    swaps = [[v ^ 1 if v // 2 == i else v for v in range(22)] for i in range(11)]
+    action = GroupAction.from_generator_perms(swaps, points)
+    path = write(tmp_path, "points.json", action_to_doc(action))
+    same = str(tmp_path / "same.json")
+    assert main(["subdivide", "--action", path, "--times", "0", "--out", same]) == 0
+    triples = []
+    for action_path in (path, same):
+        assert main(["compress", "--action", action_path]) == 0
+        triples.append(capsys.readouterr().out)
+    assert triples[0] == triples[1]
+
+
 def test_quotient(tmp_path, capsys, hexagon_action_file):
     assert main(["quotient", "--action", hexagon_action_file]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -124,7 +142,7 @@ def test_quotient(tmp_path, capsys, hexagon_action_file):
 )
 def test_split_action_form_writes_the_inline_output(tmp_path, capsys, command):
     # an action file may leave its complex out and name it with --complex
-    doc = action_to_doc(klein_four_bowtie_action(subdivisions=2))
+    doc = action_to_doc(subdivide_action(klein_four_bowtie_action(), 2))
     inline = write(tmp_path, "inline.json", doc)
     complex_path = write(tmp_path, "complex.json", doc.pop("complex"))
     split = write(tmp_path, "split.json", doc)
@@ -169,7 +187,7 @@ def test_roundtrip_checks_regularity_once(tmp_path, capsys, monkeypatch):
     check = actions.check_regularity
     monkeypatch.setattr(actions, "check_regularity", lambda a: calls.append(a) or check(a))
     action_path = write(
-        tmp_path, "action.json", action_to_doc(klein_four_bowtie_action(subdivisions=2))
+        tmp_path, "action.json", action_to_doc(subdivide_action(klein_four_bowtie_action(), 2))
     )
     assert main(["roundtrip", "--action", action_path]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
@@ -208,7 +226,7 @@ def test_empty_complex_compresses_and_reconstructs(tmp_path, capsys):
 def test_triple_with_a_certificate_still_parses(tmp_path, capsys):
     # triples once carried the orbit map and the lifts as "certificate"; a
     # triple in that format parses, the key is ignored, and it rebuilds the same
-    action = klein_four_bowtie_action(subdivisions=2)
+    action = subdivide_action(klein_four_bowtie_action(), 2)
     action_path = write(tmp_path, "action.json", action_to_doc(action))
     triple_path = str(tmp_path / "triple.json")
     assert main(["compress", "--action", action_path, "--out", triple_path]) == 0
@@ -234,7 +252,8 @@ def test_compress_irregular_exits_1(tmp_path, capsys):
 
 
 def test_corrupted_triple_exits_1(tmp_path, capsys):
-    action_file = write(tmp_path, "action.json", action_to_doc(c3_triangle_action(subdivisions=2)))
+    action = subdivide_action(c3_triangle_action(), 2)
+    action_file = write(tmp_path, "action.json", action_to_doc(action))
     triple_path = str(tmp_path / "triple.json")
     main(["compress", "--action", action_file, "--out", triple_path])
     capsys.readouterr()
@@ -242,7 +261,7 @@ def test_corrupted_triple_exits_1(tmp_path, capsys):
     # list a left-out (identity) transfer below a triangle as a non-identity
     # element, so its two paths to a shared vertex class disagree
     triple = triple_from_doc(doc)
-    top = next(y for y in range(len(triple.quotient)) if triple.quotient.simplex_dim(y) == 2)
+    top = next(y for y, s in enumerate(triple.quotient.simplices) if len(s) == 3)
     mid = triple.quotient.faces_codim1[top][0]
     assert triple.transfers[top, mid] == 0
     doc["transfers"].append([top, mid, 1])
@@ -612,22 +631,30 @@ def test_stabilizer_count_is_checked_before_the_group_is_built(tmp_path, capsys,
 
 
 def test_reconstruct_of_a_triple_failing_assembly_exits_1(tmp_path, capsys):
-    # a shrunken stabilizer passes the algebraic checks but doubles a fiber,
-    # so two labels collapse onto one vertex set during assembly
-    triple = compress(klein_four_bowtie_action(subdivisions=2))
+    # a shrunken stabilizer keeps every containment but would double a fiber,
+    # so two labels would collapse onto one vertex set during assembly; the
+    # local-group law refuses it first, with the class and an extra element
+    triple = compress(subdivide_action(klein_four_bowtie_action(), 2))
     y = next(
         i
         for i, s in enumerate(triple.stabilizers)
-        if triple.quotient.simplex_dim(i) == 1 and len(s) == 2
+        if len(triple.quotient.simplices[i]) == 2 and len(s) == 2
     )
-    triple.stabilizers[y] = triple.group.trivial_subgroup()
+    triple.stabilizers[y] = triple.group.subgroup([0])
     path = write(tmp_path, "shrunk.json", triple_to_doc(triple))
-    assert main(["validate-triple", "--triple", path]) == 0
-    capsys.readouterr()
+    assert main(["validate-triple", "--triple", path]) == 1
+    report = capsys.readouterr().out
     assert main(["reconstruct", "--triple", path]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: two labels span the same vertex set\n"
+    assert captured.out == report
+    assert captured.err == ""
+    assert json.loads(report) == {
+        "valid": False,
+        "violations": [
+            f"stabilizer of class {y} lacks element 1, which every transfer "
+            f"of {y} conjugates into the facet's stabilizer"
+        ],
+    }
 
 
 # Any JSON value a mutation can put in place of a field.  Integers stay small or
@@ -678,11 +705,11 @@ _FUZZ_TRIPLE = triple_to_doc(compress(hexagon_antipodal_action()))
 # the Klein four-group on the subdivided bow-tie: stabilizers of order 1, 2
 # and 4, so orbits, stabilizers and coset maps come from Schreier generators,
 # conjugation and cosets rather than from free orbits alone
-_FUZZ_STABILIZED_ACTION = action_to_doc(klein_four_bowtie_action(subdivisions=1))
-_FUZZ_STABILIZED_TRIPLE = triple_to_doc(compress(klein_four_bowtie_action(subdivisions=1)))
+_FUZZ_STABILIZED_ACTION = action_to_doc(subdivide_action(klein_four_bowtie_action()))
+_FUZZ_STABILIZED_TRIPLE = triple_to_doc(compress(subdivide_action(klein_four_bowtie_action())))
 # a triangle's complex of groups: most transfers are the identity and left out
 # of its document; the parent-format copy lists every one of them
-_FUZZ_TRIANGLE = compress(c3_triangle_action(subdivisions=2))
+_FUZZ_TRIANGLE = compress(subdivide_action(c3_triangle_action(), 2))
 _FUZZ_TRIANGLE_TRIPLE = triple_to_doc(_FUZZ_TRIANGLE)
 _FUZZ_TRIANGLE_TRIPLE_EXPLICIT = {
     **_FUZZ_TRIANGLE_TRIPLE,

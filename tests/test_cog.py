@@ -101,9 +101,7 @@ def test_path_independence_violation_is_caught():
     assert validate_triple(triple).valid
     # perturb one transfer under a triangle class; some length-2 path pair
     # through it must now disagree
-    parent = next(
-        y for y in range(len(triple.quotient)) if triple.quotient.simplex_dim(y) == 2
-    )
+    parent = next(y for y, s in enumerate(triple.quotient.simplices) if len(s) == 3)
     child = triple.quotient.faces_codim1[parent][0]
     original = triple.transfers[(parent, child)]
     triple.transfers[(parent, child)] = (original + 1) % action.group.order

@@ -53,7 +53,7 @@ def test_trans_call_budget():
     # most n+1 per representative; vertices have no facets
     for name, action in regular_fixtures().items():
         triple, counts = counted(action, lambda: compress(action))
-        dims = [triple.quotient.simplex_dim(y) for y in range(len(triple.quotient))]
+        dims = [len(s) - 1 for s in triple.quotient.simplices]
         assert counts["trans"] == sum(d + 1 for d in dims if d >= 1), name
 
 

@@ -37,17 +37,17 @@ def oracle_reconstruct(triple):
     below = {p: {p} for p in points}
     for d in range(1, quotient.dim + 1):
         for upper in points:
-            if quotient.simplex_dim(upper[0]) != d:
+            if len(quotient.simplices[upper[0]]) != d + 1:
                 continue
             for lower in points:
-                if quotient.simplex_dim(lower[0]) == d - 1 and covers(upper, lower):
+                if len(quotient.simplices[lower[0]]) == d and covers(upper, lower):
                     below[upper] |= below[lower]
 
-    vertex_points = [p for p in points if quotient.simplex_dim(p[0]) == 0]
+    vertex_points = [p for p in points if len(quotient.simplices[p[0]]) == 1]
     vertex_points.sort(key=lambda p: (p[0], min(p[1])))
     vertex_id = {p: i for i, p in enumerate(vertex_points)}
     simplices = [
-        sorted(vertex_id[q] for q in below[p] if quotient.simplex_dim(q[0]) == 0)
+        sorted(vertex_id[q] for q in below[p] if len(quotient.simplices[q[0]]) == 1)
         for p in points
     ]
     return build_complex(simplices, vertex_count=len(vertex_points))

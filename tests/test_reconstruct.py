@@ -8,16 +8,12 @@ from equicompress.bench import counted
 from equicompress.cog import CompressedTriple
 from equicompress.complexes import build_complex, complexes_equal
 from equicompress.compress import compress
-from equicompress.errors import (
-    EquicompressError,
-    ReconstructionIntegrityError,
-    TripleValidationError,
-)
+from equicompress.errors import EquicompressError, TripleValidationError
 from equicompress.families import cycle_rotation_action, regular_fixtures
 from equicompress.groups import Subgroup, enumerate_from_generators
 from equicompress.reconstruct import reconstruct, recovered_action
 
-from oracles import check_partial_order
+from oracles import ReconstructionIntegrityError, check_development, check_partial_order
 
 
 def test_single_point_with_full_stabilizer():
@@ -34,7 +30,7 @@ def test_single_point_with_trivial_stabilizer():
     # trivial stabilizer: the fiber is a free orbit of k isolated points
     group = enumerate_from_generators([[1, 2, 0]], 3)
     point = build_complex([[0]])
-    triple = CompressedTriple(group, point, [group.trivial_subgroup()], {})
+    triple = CompressedTriple(group, point, [group.subgroup([0])], {})
     rc = reconstruct(triple)
     assert rc.complex.counts_by_dim() == [3]
     assert rc.labels == [(0, 0), (0, 1), (0, 2)]
@@ -44,13 +40,15 @@ def test_free_edge_orbit():
     # quotient = one edge with trivial stabilizers: k disjoint edges
     group = enumerate_from_generators([[1, 2, 3, 0]], 4)
     edge = build_complex([[0, 1]])
-    trivial = group.trivial_subgroup()
+    trivial = group.subgroup([0])
     triple = CompressedTriple(
         group, edge, [trivial, trivial, trivial], {(2, 0): 0, (2, 1): 0}
     )
     rc = reconstruct(triple)
     assert rc.complex.counts_by_dim() == [8, 4]
-    assert all(len(rc.complex.cofaces_up[v]) == 1 for v in range(8))
+    # each of the 8 vertices lies on exactly one edge
+    degrees = Counter(v for s in rc.complex.simplices if len(s) == 2 for v in s)
+    assert degrees == dict.fromkeys(range(8), 1)
 
 
 def test_roundtrip_shape_on_24_cycle():
@@ -89,9 +87,9 @@ def test_minrep_call_count_is_exact():
         _, counts = counted(action, lambda: reconstruct(triple))
         k, quotient = action.group.order, triple.quotient
         facets = sum(
-            k // len(triple.stabilizers[y]) * (quotient.simplex_dim(y) + 1)
-            for y in range(len(quotient))
-            if quotient.simplex_dim(y) >= 1
+            k // len(triple.stabilizers[y]) * len(simplex)
+            for y, simplex in enumerate(quotient.simplices)
+            if len(simplex) > 1
         )
         assert counts["minrep"] == facets, name
 
@@ -106,18 +104,18 @@ def test_rejects_invalid_triple():
 
 
 def test_corrupt_stabilizer_fails_integrity():
-    # shrinking a stabilizer can pass the algebraic checks (they only see
-    # subgroup containments) yet doubles a fiber, so two labels collapse onto
-    # the same vertex set during assembly
+    # shrinking a stabilizer keeps every subgroup containment but breaks the
+    # local-group law: it would double a fiber, so two labels would collapse
+    # onto the same vertex set during assembly
     action = regular_fixtures()["klein-bowtie-sd2"]
     triple = compress(action)
     group = triple.group
     y = next(
         i
         for i, s in enumerate(triple.stabilizers)
-        if triple.quotient.simplex_dim(i) == 1 and len(s) == 2
+        if len(triple.quotient.simplices[i]) == 2 and len(s) == 2
     )
-    triple.stabilizers[y] = group.trivial_subgroup()
+    triple.stabilizers[y] = group.subgroup([0])
     with pytest.raises((ReconstructionIntegrityError, TripleValidationError)):
         reconstruct(triple)
 
@@ -158,7 +156,7 @@ def mutated(triple, rng):
         else:
             stabilizers[rng.randrange(len(stabilizers))] = rng.choice(
                 [
-                    group.trivial_subgroup(),
+                    group.subgroup([0]),
                     group.full_subgroup(),
                     rng.choice(triple.stabilizers),
                     cyclic_subgroup(group, rng.randrange(group.order)),
@@ -170,11 +168,13 @@ def mutated(triple, rng):
 def test_mutated_triples_are_refused_or_reconstruct_closed():
     # reconstruct does not close its vertex sets downward: a corrupt triple must
     # be refused with an EquicompressError or still give a closed, fully
-    # labelled complex; any other exception fails the test
+    # labelled complex whose triple is the complex of groups of its own
+    # development; any other exception fails the test
     rng = random.Random(6)
     outcomes = Counter()
     for name, action in regular_fixtures().items():
         triple = compress(action)
+        assert check_development(reconstruct(triple)), name
         for _ in range(320):
             bad = mutated(triple, rng)
             try:
@@ -193,12 +193,13 @@ def test_mutated_triples_are_refused_or_reconstruct_closed():
             ), name
             assert len(set(rc.labels)) == len(rc.labels) == len(x), name
             assert all(
-                bad.quotient.simplex_dim(y) == x.simplex_dim(sid)
+                len(bad.quotient.simplices[y]) == len(x.simplices[sid])
                 for sid, (y, _) in enumerate(rc.labels)
             ), name
             assert all(
                 [rc.labels[v][0] for v in x.simplices[sid]] == list(bad.quotient.simplices[y])
                 for sid, (y, _) in enumerate(rc.labels)
             ), name
+            assert check_development(rc), name
             outcomes["closed"] += 1
     assert outcomes["refused"] > 0 and outcomes["closed"] > 0, outcomes
