@@ -256,8 +256,7 @@ class GroupAction:
         report = check_regularity(self)
         if not report.regular:
             raise RegularityViolationError(report)
-        n_classes = max(self.orbit_ids[: self.complex.vertex_count], default=-1) + 1
-        quotient_complex = SimplicialComplex(n_classes, self.orbit_keys)
+        quotient_complex = SimplicialComplex(self.orbit_keys)
         classes = [quotient_complex.index[key] for key in self.orbit_keys]
         lifts = [0] * len(classes)
         for y, members in zip(classes, self._orbits):

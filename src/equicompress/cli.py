@@ -50,10 +50,20 @@ def _dump(doc, path):
     _write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", path)
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict; a repeated key is refused, not overwritten."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {json.dumps(key)}")
+        doc[key] = value
+    return doc
+
+
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # ValueError: decode errors, over-long integers

@@ -3,11 +3,13 @@
 Simplices are strictly sorted vertex tuples.  ``SimplicialComplex`` numbers a
 closed set of them, given in any order, in canonical order, i.e. by
 (dimension, lexicographic vertex tuple), so every map keyed by simplices can
-be a plain list and serialization is byte-deterministic.
+be a plain list and serialization is byte-deterministic.  The vertices come
+first, and vertex v is simplex v, so a complex counts its own vertices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 from math import comb
 
@@ -21,20 +23,15 @@ MAX_SIMPLICES = 1 << 18
 
 
 class SimplicialComplex:
-    def __init__(self, vertex_count, simplices):
-        self.vertex_count = vertex_count
+    def __init__(self, simplices):
+        """Number a closed set of simplices whose n vertices are (0,) .. (n - 1,)."""
         # canonical order: by vertex tuple, then stably by dimension
         self.simplices = sorted(simplices)
         self.simplices.sort(key=len)
-        # the package reads vertex v as simplex v, so the vertices must be
-        # exactly (0,) .. (vertex_count - 1,)
-        if self.simplices[:vertex_count] != list(zip(range(vertex_count))) or (
-            len(self.simplices) > vertex_count and len(self.simplices[vertex_count]) == 1
-        ):
-            raise ValueError(
-                f"a complex of {vertex_count} vertices must list exactly the vertices "
-                f"0..{vertex_count - 1}"
-            )
+        # the vertices sort first, and vertex v must be simplex v
+        n = self.vertex_count = bisect_right(self.simplices, 1, key=len)
+        if self.simplices[:n] != list(zip(range(n))):
+            raise ValueError(f"a complex of {n} vertices must list exactly the vertices 0..{n - 1}")
         index = self.index = {s: i for i, s in enumerate(self.simplices)}
         self.dim = len(self.simplices[-1]) - 1 if self.simplices else -1
         # combinations drops vertex d, d-1, ..., 0: the facets come out ascending
@@ -89,12 +86,12 @@ def build_complex(maximal_simplices, vertex_count=None):
             f"vertex count {vertex_count} too small for vertex id {max_vertex}"
         )
     closure.update((v,) for v in range(vertex_count))
-    return SimplicialComplex(vertex_count, closure)
+    return SimplicialComplex(closure)
 
 
 def complexes_equal(a, b):
-    """Label-sensitive equality: same vertex count and identical simplex sets."""
-    return a.vertex_count == b.vertex_count and a.simplices == b.simplices
+    """Label-sensitive equality: identical simplex sets."""
+    return a.simplices == b.simplices
 
 
 def subdivision_size(complex_):
@@ -132,7 +129,7 @@ def barycentric_subdivision(complex_):
             for face in combinations(simplex, k):
                 chains.extend(chain + (sid,) for chain in chains_at[index[face]])
         chains_at.append(chains)
-    return SimplicialComplex(len(complex_), [chain for chains in chains_at for chain in chains])
+    return SimplicialComplex([chain for chains in chains_at for chain in chains])
 
 
 def complex_to_doc(complex_):

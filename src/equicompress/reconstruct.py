@@ -92,7 +92,7 @@ def reconstruct(triple):
         ]
         vertex_sets.extend(zip(*columns))
 
-    complex_ = SimplicialComplex(sum(map(len, vertex_ids)), vertex_sets)
+    complex_ = SimplicialComplex(vertex_sets)
     ordered = [None] * len(complex_)
     for sid, label in zip(map(complex_.index.__getitem__, vertex_sets), labels):
         ordered[sid] = label
@@ -103,15 +103,14 @@ def recovered_action(rc):
     """The group action on a reconstruction: h * (y, g) = (y, minrep(S(y), h*g))."""
     triple = rc.triple
     group = triple.group
-    vertex_ids = {}
-    for sid, label in enumerate(rc.labels):
-        if len(rc.complex.simplices[sid]) == 1:
-            vertex_ids[label] = rc.complex.simplices[sid][0]
-    images = []
-    for h in group.generators:
-        row = [0] * rc.complex.vertex_count
-        for (y, g), v in vertex_ids.items():
-            moved = group.minrep(triple.stabilizers[y], group.prod(h, g))
-            row[v] = vertex_ids[(y, moved)]
-        images.append(row)
+    n = rc.complex.vertex_count
+    vertex_labels = rc.labels[:n]  # vertex v is simplex v
+    vertex_ids = dict(zip(vertex_labels, range(n)))
+    images = [
+        [
+            vertex_ids[y, group.minrep(triple.stabilizers[y], group.prod(h, g))]
+            for y, g in vertex_labels
+        ]
+        for h in group.generators
+    ]
     return GroupAction(group, rc.complex, images)

@@ -276,6 +276,8 @@ def test_action_doc_errors():
         )
     with pytest.raises(FormatError):
         action_from_doc({}, x)
+    with pytest.raises(FormatError, match=r"^\$: action must be an object$"):
+        action_from_doc([], x)
 
 
 # The check and the quotient as they stood before both were derived from

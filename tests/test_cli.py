@@ -66,6 +66,27 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_duplicate_keys_exit_2(tmp_path, capsys, hexagon_action_file):
+    # the hexagon's antipodal flip named "a", then the rotation named "a" again
+    action = tmp_path / "twice.json"
+    action.write_text(
+        '{"complex": {"vertices": 6, "maximal_simplices": '
+        "[[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]}, "
+        '"group": {"generators": {"a": [3, 4, 5, 0, 1, 2], "a": [1, 2, 3, 4, 5, 0]}}}'
+    )
+    assert main(["check-regular", "--action", str(action)]) == 2
+    assert capsys.readouterr().err == f'error: $: invalid JSON in {action}: duplicate key "a"\n'
+
+    assert main(["compress", "--action", hexagon_action_file]) == 0
+    text = capsys.readouterr().out
+    triple = tmp_path / "twice-triple.json"
+    triple.write_text(text.replace('"transfers":', '"transfers":[],"transfers":', 1))
+    assert main(["validate-triple", "--triple", str(triple)]) == 2
+    assert capsys.readouterr().err == (
+        f'error: $: invalid JSON in {triple}: duplicate key "transfers"\n'
+    )
+
+
 def test_subdivide_complex(tmp_path, capsys):
     edge = write(tmp_path, "edge.json", {"vertices": 2, "maximal_simplices": [[0, 1]]})
     assert main(["subdivide", "--complex", edge, "--times", "1"]) == 0
@@ -630,7 +651,7 @@ def test_stabilizer_count_is_checked_before_the_group_is_built(tmp_path, capsys,
         assert capsys.readouterr().err.startswith("error: $.stabilizers: ")
 
 
-def test_reconstruct_of_a_triple_failing_assembly_exits_1(tmp_path, capsys):
+def test_reconstruct_of_a_triple_breaking_the_local_group_law_exits_1(tmp_path, capsys):
     # a shrunken stabilizer keeps every containment but would double a fiber,
     # so two labels would collapse onto one vertex set during assembly; the
     # local-group law refuses it first, with the class and an extra element

@@ -214,6 +214,12 @@ def test_triple_from_doc_structural_errors():
     with pytest.raises(FormatError):
         triple_from_doc(bad)
 
+    bad = json.loads(json.dumps(doc))
+    bad["transfers"].append([0, 1, 1])  # vertices have no faces
+    with pytest.raises(FormatError) as exc:
+        triple_from_doc(bad)
+    assert str(exc.value) == "$.transfers[1]: (0, 1) is not a codimension-1 face pair"
+
 
 
 def test_renumbered_triple_is_read_in_its_own_numbering():
