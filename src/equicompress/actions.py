@@ -9,7 +9,12 @@ requirement that makes the quotient a simplicial complex (without it a free
 rotation of a polygon boundary would collapse an edge onto a single vertex).
 
 An action keeps one simplex-image row per generator, tabulated from the
-generator's vertex permutation; no other element's row is built.  A
+generator's vertex permutation; no other element's row is built.  The row
+starts as the permutation itself, since vertex v is simplex v.  The simplices
+of each higher dimension are read by columns, one column of vertex images per
+vertex position, and each image tuple is looked up as it comes: a hit is a
+canonical key, so the image is already sorted, and only a miss is sorted and
+looked up again.  A
 breadth-first walk along the generator rows gives the orbits, numbered by
 their minimal member, and a transversal t[x] carrying each orbit's minimum to
 x.  The stabilizer of a minimum is closed from Schreier generators, and
@@ -32,6 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
+from operator import itemgetter
 
 from . import groups
 from .complexes import SimplicialComplex, barycentric_subdivision, complex_to_doc
@@ -107,7 +114,19 @@ class GroupAction:
         if sorted(row) != list(range(complex_.vertex_count)):
             raise NotAnAutomorphismError(f"element {g} does not permute the vertices")
         sid_of, image = complex_.index.get, row.__getitem__
-        table = [sid_of(tuple(sorted(map(image, simplex)))) for simplex in complex_.simplices]
+        table = list(row)  # vertex v is simplex v
+        starts = complex_._starts
+        for size, start, stop in zip(count(2), starts[1:], starts[2:]):
+            bucket = complex_.simplices[start:stop]
+            # a hit is a canonical key, so the image is already sorted
+            columns = [map(image, map(itemgetter(i), bucket)) for i in range(size)]
+            ids = list(map(sid_of, zip(*columns)))
+            if None in ids:
+                ids = [
+                    sid_of(tuple(sorted(map(image, simplex)))) if sid is None else sid
+                    for sid, simplex in zip(ids, bucket)
+                ]
+            table += ids
         if None in table:
             simplex = complex_.simplices[table.index(None)]
             raise NotAnAutomorphismError(f"element {g} maps simplex {simplex} outside the complex")

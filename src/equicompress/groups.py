@@ -12,6 +12,7 @@ A group keeps one ``Subgroup`` per member set, its closure checked once by
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import FormatError, GroupTooLargeError
 
@@ -182,11 +183,14 @@ def enumerate_from_generators(generators, domain_size):
     parents = [0]
     last_generators = [0]
     right = []
+    # pg * ps reads pg at the points of ps; the only permutation of fewer than
+    # two points is the identity, and itemgetter needs two indices to return a tuple
+    composers = [itemgetter(*ps) if domain_size > 1 else tuple for ps in gens]
     # perms grows while it is walked, so index order is breadth-first order
     for pg in perms:
         row = []
-        for i, ps in enumerate(gens):
-            new = tuple([pg[v] for v in ps])
+        for i, compose in enumerate(composers):
+            new = compose(pg)
             h = seen.get(new)
             if h is None:
                 h = len(perms)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,12 @@ def test_rejects_non_automorphism():
     with pytest.raises(NotAnAutomorphismError):
         # transposing adjacent vertices maps the edge {1,2} to the non-edge {0,2}
         GroupAction.from_generator_perms([[1, 0, 2, 3]], x)
+    # swapping 2 and 3 keeps every edge, so the edge images are all found, yet
+    # the triangle's image (0, 1, 3) is not a simplex
+    x = build_complex([[0, 1, 2], [0, 3], [1, 3], [2, 3]])
+    message = "element 1 maps simplex (0, 1, 2) outside the complex"
+    with pytest.raises(NotAnAutomorphismError, match=re.escape(message)):
+        GroupAction.from_generator_perms([[0, 1, 3, 2]], x)
 
 
 def test_rejects_non_permutation():

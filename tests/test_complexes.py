@@ -1,6 +1,9 @@
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicompress import complexes
 from equicompress.actions import check_regularity, quotient
@@ -55,6 +58,14 @@ def test_malformed_simplices_rejected():
         build_complex([[-1, 2]])
     with pytest.raises(MalformedSimplexError):
         build_complex([[0, 5]], vertex_count=3)
+    # the first malformed simplex in document order is named
+    for simplices, message in [
+        ([[0, 0, 1], [-1, 2]], "duplicate vertices within a simplex: [0, 0, 1]"),
+        ([[-1, 2], [0, 0, 1]], "vertex ids must be non-negative: [-1, 2]"),
+        ([[0, 1], [True, 2]], "vertex ids must be non-negative: [True, 2]"),
+    ]:
+        with pytest.raises(MalformedSimplexError, match=re.escape(message)):
+            build_complex(simplices)
 
 
 @pytest.mark.parametrize(
@@ -211,3 +222,21 @@ def test_constructor_matches_the_reference():
                 assert_matches_reference(y, reference_build_complex(keys, y.vertex_count), name)
                 quotients += 1
     assert quotients > len(regular_fixtures())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    simplices=st.lists(st.lists(st.integers(0, 7), max_size=5, unique=True), max_size=6),
+    extra_vertices=st.none() | st.integers(0, 3),
+)
+def test_closure_matches_the_reference(simplices, extra_vertices):
+    # repeats and empty simplices are allowed, and isolated vertices may follow the top one
+    if simplices and simplices[0]:
+        simplices.append(simplices[0][::-1])
+    vertex_count = None
+    if extra_vertices is not None:
+        vertex_count = max((v for s in simplices for v in s), default=-1) + 1 + extra_vertices
+    x = build_complex(simplices, vertex_count)
+    ref = reference_build_complex(simplices, vertex_count)
+    assert x.vertex_count == ref.vertex_count
+    assert_matches_reference(x, ref, simplices)

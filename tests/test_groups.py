@@ -60,10 +60,16 @@ def test_bfs_enumeration_order():
 
 
 def test_trivial_group():
-    g = enumerate_from_generators([], 3)
-    assert g.order == 1
-    assert g.prod(0, 0) == 0
-    assert g.inv(0) == 0
+    # on 0 and 1 points the only generator is the identity, and the closure
+    # composes it without itemgetter
+    for g in (
+        enumerate_from_generators([], 3),
+        enumerate_from_generators([[]], 0),
+        enumerate_from_generators([[0]], 1),
+    ):
+        assert g.order == 1
+        assert g.prod(0, 0) == 0
+        assert g.inv(0) == 0
 
 
 def shift(n, k):
