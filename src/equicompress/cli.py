@@ -147,7 +147,7 @@ def cmd_reconstruct(args):
     _dump(
         {
             "complex": complex_to_doc(rc.complex),
-            "labels": [[y, g] for y, g in rc.labels],
+            "labels": list(map(list, rc.labels)),
         },
         args.out,
     )

@@ -9,12 +9,18 @@ bottom stabilizer (the executable shadow of the cocycle condition).  A valid
 triple always reconstructs.
 ``validate_triple`` reads the triple alone; the test oracle
 ``validate_against_action`` in ``tests/oracles.py`` checks a triple against the
-action it came from.
+action it came from.  Both readers of a triple work on whole lists:
+``triple_from_doc`` checks each distinct stabilizer list once, after one pass
+over every entry's types, and ``validate_triple`` checks each distinct
+conjugation and path pair once, reading the quotient a dimension and a facet
+position at a time.  Violations are spelled out only once a check has failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, combinations, compress, count
+from operator import contains, itemgetter, not_
 
 from .complexes import complex_from_doc, complex_to_doc
 from .errors import FormatError
@@ -45,56 +51,78 @@ def validate_triple(triple):
     The law is S(y) = the intersection of T(y>=c)^-1 S(c) T(y>=c) over the
     facets c of y; a violation names y and the least element of the
     intersection outside S(y).  It is checked only once every embedding holds.
+    Each check runs once per distinct case: a conjugation per (parent
+    stabilizer, child stabilizer, transfer), keyed by the stabilizers' ids, and
+    a path pair per (four transfers, bottom stabilizer).  The violations are
+    listed, in relation, class and path order, only once a case has failed.
     """
-    group, quotient = triple.group, triple.quotient
+    group, quotient, transfers = triple.group, triple.quotient, triple.transfers
+    stabilizers = triple.stabilizers
+    faces = quotient.faces_codim1
     violations = []
 
-    if len(triple.stabilizers) != len(quotient):
+    if len(stabilizers) != len(quotient):
         violations.append(
-            f"stabilizer map covers {len(triple.stabilizers)} of {len(quotient)} simplices"
+            f"stabilizer map covers {len(stabilizers)} of {len(quotient)} simplices"
         )
-    relations = {
-        (parent, child)
-        for parent in range(len(quotient))
-        for child in quotient.faces_codim1[parent]
-    }
-    missing = sorted(relations - set(triple.transfers))
-    extra = sorted(set(triple.transfers) - relations)
-    for parent, child in missing:
-        violations.append(f"transfer missing for relation {parent} >= {child}")
-    for parent, child in extra:
-        violations.append(f"transfer keyed by non-face pair ({parent}, {child})")
+    children = list(chain.from_iterable(faces))
+    if len(transfers) != len(children) or not all(
+        map(transfers.__contains__, zip(_parents(quotient), children))
+    ):
+        relations = set(zip(_parents(quotient), children))
+        for parent, child in sorted(relations - transfers.keys()):
+            violations.append(f"transfer missing for relation {parent} >= {child}")
+        for parent, child in sorted(transfers.keys() - relations):
+            violations.append(f"transfer keyed by non-face pair ({parent}, {child})")
     if violations:
         return ValidationReport(False, violations)
 
-    for (parent, child), g in sorted(triple.transfers.items()):
-        child_stab = triple.stabilizers[child]
+    ids = list(map(id, stabilizers))
+    by_id = dict(zip(ids, stabilizers))
+    conjugations = zip(
+        map(ids.__getitem__, map(itemgetter(0), transfers)),
+        map(ids.__getitem__, map(itemgetter(1), transfers)),
+        transfers.values(),
+    )
+    failures = {}  # conjugation -> (element, conjugate outside the child stabilizer)
+    for parent_id, child_id, g in dict.fromkeys(conjugations):
         g_inv = group.inv(g)
-        for a in triple.stabilizers[parent].elements:
+        for a in by_id[parent_id].elements:
             conjugate = group.prod(group.prod(g, a), g_inv)
-            if conjugate not in child_stab:
+            if conjugate not in by_id[child_id]:
+                failures[parent_id, child_id, g] = a, conjugate
+                break
+    if failures:
+        for (parent, child), g in sorted(transfers.items()):
+            failure = failures.get((ids[parent], ids[child], g))
+            if failure:
+                a, conjugate = failure
                 violations.append(
                     f"conjugation by transfer of {parent} >= {child} maps element {a} "
                     f"to {conjugate}, outside the child stabilizer"
                 )
-                break
 
     # The converse, once containment holds: S(y) is all of the intersection
     # of T(y>=c)^-1 S(c) T(y>=c) over the facets c of y.  Containment puts S(y)
     # in each conjugate, so a facet stabilizer as large as S(y) settles it.
     if not violations:
-        stabilizers = triple.stabilizers
-        orders = [len(s) for s in stabilizers]
-        for y, facets in enumerate(quotient.faces_codim1):
-            if not facets or orders[y] in [orders[c] for c in facets]:
-                continue
+        orders = list(map(len, stabilizers))
+        unsettled = []
+        for d, start, stop in zip(count(1), quotient._starts[1:], quotient._starts[2:]):
+            tops = faces[start:stop]
+            facet_orders = zip(
+                *[map(orders.__getitem__, map(itemgetter(k), tops)) for k in range(d + 1)]
+            )
+            settled = map(contains, facet_orders, orders[start:stop])
+            unsettled += compress(range(start, stop), map(not_, settled))
+        for y in unsettled:
             # the smallest facet stabilizer conjugated back, cut down by the others
-            first, *rest = sorted(facets, key=orders.__getitem__)
-            g = triple.transfers[y, first]
+            first, *rest = sorted(faces[y], key=orders.__getitem__)
+            g = transfers[y, first]
             g_inv = group.inv(g)
             meet = [group.prod(group.prod(g_inv, s), g) for s in stabilizers[first].elements]
             for c in rest:
-                g = triple.transfers[y, c]
+                g = transfers[y, c]
                 g_inv = group.inv(g)
                 meet = [x for x in meet if group.prod(group.prod(g, x), g_inv) in stabilizers[c]]
             if len(meet) != orders[y]:
@@ -105,12 +133,58 @@ def validate_triple(triple):
                 )
 
     # Path independence over every pair of descending codim-1 paths of
-    # length two sharing both endpoints.
-    for top in range(len(quotient)):
+    # length two sharing both endpoints: the paths from a d-simplex down past
+    # its vertices at positions i < j, through the facet less j (facet d - j,
+    # as facet k drops vertex d - k) and through the facet less i.
+    path_pairs = set()
+    for d, start, stop in zip(count(2), quotient._starts[2:], quotient._starts[3:]):
+        tops = range(start, stop)
+        columns = [list(map(itemgetter(k), faces[start:stop])) for k in range(d + 1)]
+        for i, j in combinations(range(d + 1), 2):
+            mids_j, mids_i = columns[d - j], columns[d - i]
+            bottoms = list(map(itemgetter(d - 1 - i), map(faces.__getitem__, mids_j)))
+            path_pairs.update(
+                zip(
+                    map(transfers.__getitem__, zip(tops, mids_j)),
+                    map(transfers.__getitem__, zip(mids_j, bottoms)),
+                    map(transfers.__getitem__, zip(tops, mids_i)),
+                    map(transfers.__getitem__, zip(mids_i, bottoms)),
+                    map(ids.__getitem__, bottoms),
+                )
+            )
+    for t_top_j, t_j, t_top_i, t_i, bottom in path_pairs:
+        reference = group.prod(t_j, t_top_j)
+        delta = group.prod(reference, group.inv(group.prod(t_i, t_top_i)))
+        if delta not in by_id[bottom]:
+            violations += _path_violations(triple)
+            break
+
+    return ValidationReport(not violations, violations)
+
+
+def _parents(quotient):
+    """Each simplex id once per facet, ascending: the parent column of the face
+    relations, beside the child column ``chain.from_iterable(faces_codim1)``.
+
+    A d-simplex has d + 1 facets, so each dimension's ids are listed d + 1
+    times and sorted.
+    """
+    starts = quotient._starts
+    return chain.from_iterable(
+        sorted(list(range(start, stop)) * (d + 1))
+        for d, start, stop in zip(count(1), starts[1:], starts[2:])
+    )
+
+
+def _path_violations(triple):
+    """Every disagreeing length-2 path pair, by top, then bottom id."""
+    group, faces, transfers = triple.group, triple.quotient.faces_codim1, triple.transfers
+    violations = []
+    for top in range(len(faces)):
         paths = {}
-        for mid in quotient.faces_codim1[top]:
-            for bottom in quotient.faces_codim1[mid]:
-                product = group.prod(triple.transfers[mid, bottom], triple.transfers[top, mid])
+        for mid in faces[top]:
+            for bottom in faces[mid]:
+                product = group.prod(transfers[mid, bottom], transfers[top, mid])
                 paths.setdefault(bottom, []).append((mid, product))
         for bottom, entries in sorted(paths.items()):
             _, reference = entries[0]
@@ -122,8 +196,7 @@ def validate_triple(triple):
                         f"{top} >= {mid} >= {bottom} disagree by {delta}, "
                         f"outside the bottom stabilizer"
                     )
-
-    return ValidationReport(not violations, violations)
+    return violations
 
 
 def triple_to_doc(triple):
@@ -158,19 +231,31 @@ def triple_from_doc(doc):
         )
     group = group_from_doc(doc.get("group"))
 
-    stabilizers = []
-    for i, members in enumerate(stabilizers_doc):
-        where = f"$.stabilizers[{i}]"
-        if not isinstance(members, list) or not all(
-            type(g) is int and 0 <= g < group.order for g in members
-        ):
-            raise FormatError("subgroup must be a list of element indices", where)
-        if len(set(members)) != len(members):
-            raise FormatError("subgroup lists an element index twice", where)
+    # Every entry must be a list of ints before the lists are keyed by their
+    # members: True == 1.0 == 1 with equal hashes, so [0, true] would share
+    # the key of an earlier [0, 1].  Entries before the first mistyped one are
+    # still checked, so the first bad index is named.
+    typed = len(stabilizers_doc)
+    if not (
+        set(map(type, stabilizers_doc)) <= {list}
+        and set(map(type, chain.from_iterable(stabilizers_doc))) <= {int}
+    ):
+        mistyped = (
+            i
+            for i, members in enumerate(stabilizers_doc)
+            if not (isinstance(members, list) and all(type(g) is int for g in members))
+        )
+        typed = next(mistyped, typed)
+    keys = list(map(tuple, stabilizers_doc[:typed]))
+    subgroups = dict.fromkeys(keys)  # each distinct member list, checked once
+    for members in subgroups:
         try:
-            stabilizers.append(group.subgroup(members))
+            subgroups[members] = _subgroup(group, members)
         except ValueError as exc:
-            raise FormatError(str(exc), where) from exc
+            raise FormatError(str(exc), f"$.stabilizers[{keys.index(members)}]") from exc
+    if typed < len(stabilizers_doc):
+        raise FormatError("subgroup must be a list of element indices", f"$.stabilizers[{typed}]")
+    stabilizers = list(map(subgroups.__getitem__, keys))
 
     transfers_doc = doc.get("transfers")
     if not isinstance(transfers_doc, list):
@@ -188,10 +273,17 @@ def triple_from_doc(doc):
         if (parent, child) in given:
             raise FormatError(f"duplicate transfer for ({parent}, {child})", where)
         given[(parent, child)] = g
-    transfers = {
-        (parent, child): given.get((parent, child), 0)
-        for parent in range(len(quotient))
-        for child in quotient.faces_codim1[parent]
-    }
+    relations = zip(_parents(quotient), chain.from_iterable(quotient.faces_codim1))
+    transfers = dict.fromkeys(relations, 0)
+    transfers.update(given)
 
     return CompressedTriple(group, quotient, stabilizers, transfers)
+
+
+def _subgroup(group, members):
+    """The group's ``Subgroup`` on a list of element indices; ValueError if it is none."""
+    if not all(0 <= g < group.order for g in members):
+        raise ValueError("subgroup must be a list of element indices")
+    if len(set(members)) != len(members):
+        raise ValueError("subgroup lists an element index twice")
+    return group.subgroup(members)

@@ -10,7 +10,7 @@ first, and vertex v is simplex v, so a complex counts its own vertices.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, combinations, count, repeat
+from itertools import chain, combinations, count, filterfalse, repeat
 from math import comb
 
 from .errors import ComplexTooLargeError, FormatError, MalformedSimplexError
@@ -57,8 +57,9 @@ class SimplicialComplex:
         return [stop - start for start, stop in zip(self._starts, self._starts[1:])]
 
     def maximal_simplices(self):
-        facets = {fid for ids in self.faces_codim1 for fid in ids}
-        return [s for sid, s in enumerate(self.simplices) if sid not in facets]
+        facets = set(chain.from_iterable(self.faces_codim1))
+        maximal = filterfalse(facets.__contains__, range(len(self.simplices)))
+        return list(map(self.simplices.__getitem__, maximal))
 
     def __repr__(self):
         return (
@@ -146,7 +147,7 @@ def barycentric_subdivision(complex_):
 def complex_to_doc(complex_):
     return {
         "vertices": complex_.vertex_count,
-        "maximal_simplices": [list(s) for s in complex_.maximal_simplices()],
+        "maximal_simplices": list(map(list, complex_.maximal_simplices())),
     }
 
 

@@ -44,12 +44,15 @@ class FiniteGroup:
         table[0] = tuple(range(order))
         found = [0]
         tree = []  # (h, a, i) per element h = a*s_i, met first from a
+        # row a*s reads row a at the points of row s; in a group of order 1
+        # the only product is already known, so no row of one point is composed
+        steps = [(row[0], itemgetter(*row)) for row in generator_rows]
         for a in found:  # grows while walked
             row_a = table[a]
-            for i, row_s in enumerate(generator_rows):
-                h = row_a[row_s[0]]
+            for i, (s, compose) in enumerate(steps):
+                h = row_a[s]
                 if table[h] is None:
-                    table[h] = tuple([row_a[x] for x in row_s])
+                    table[h] = compose(row_a)
                     found.append(h)
                     tree.append((h, a, i))
         if len(found) < order:

@@ -6,6 +6,11 @@ of y, i.e. a g with ``coset_reps[g] == g``.  The simplex (y, g) has one vertex
 over each vertex class v of y, namely (v, minrep(S(v), g * P(y, v)^-1)), where
 P(y, v) composes the transfers down a descending path from y to v: this is the
 development of the complex of groups (Bridson-Haefliger III.C).
+The labels are assembled one dimension at a time: the coset minima once per
+distinct stabilizer, the pullbacks P(y, v)^-1 of all d-classes as d + 1
+columns, and one column of vertex ids per vertex position over every label of
+the dimension, each a pass of ``map`` over ``group.prod``, ``group.minrep``
+and the per-vertex-class dicts of coset minima.
 ``check_partial_order`` in ``tests/oracles.py`` cross-checks the result by brute
 force: the face relation recomputed over every comparable label pair is the
 containment order of the complex.
@@ -13,7 +18,8 @@ containment order of the complex.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, count, repeat
+from operator import itemgetter
 
 from .actions import GroupAction
 from .cog import validate_triple
@@ -63,34 +69,52 @@ def reconstruct(triple):
         raise ComplexTooLargeError(
             f"reconstruction of {size} simplices exceeds the maximum {MAX_SIMPLICES}"
         )
-    pullbacks = []  # per class y, P(y, v)^-1 for its vertex classes v, in order
-    vertex_ids = []  # per vertex class v, coset representative -> vertex id
-    labels = []  # (quotient id, coset representative), in the order built
-    vertex_sets = []  # per label, the strictly sorted tuple of its vertex ids
+    simplices, faces, starts = quotient.simplices, quotient.faces_codim1, quotient._starts
+    reps_of = {}  # stabilizer id -> each coset's minimum, ascending
+    for s in stabilizers:
+        if id(s) not in reps_of:
+            reps_of[id(s)] = sorted(set(s.coset_reps))
+    reps = list(map(reps_of.__getitem__, map(id, stabilizers)))
+    counts = list(map(len, reps))
+    classes = chain.from_iterable(map(repeat, range(len(reps)), counts))
+    labels = list(zip(classes, chain.from_iterable(reps)))  # (quotient id, coset minimum)
 
-    for y, simplex in enumerate(quotient.simplices):  # canonical order: faces first
-        reps = sorted(set(stabilizers[y].coset_reps))  # each coset's minimum
-        labels.extend(zip(repeat(y), reps))
-        if len(simplex) == 1:
-            pullbacks.append([0])
-            ids = range(len(vertex_sets), len(vertex_sets) + len(reps))
-            vertex_ids.append(dict(zip(reps, ids)))
-            vertex_sets.extend(zip(ids))
-            continue
-        first, second = quotient.faces_codim1[y][:2]  # y less its last vertex; less the one before
-        down = group.inv(transfers[y, first])
-        pullbacks.append([group.prod(down, p) for p in pullbacks[first]])
-        pullbacks[y].append(group.prod(group.inv(transfers[y, second]), pullbacks[second][-1]))
-        # one column per vertex class v: the id of vertex (v, minrep(S(v), g * p))
-        # for every label g; vertex ids ascend with their class, so rows are sorted
-        columns = [
-            map(
-                vertex_ids[v].__getitem__,
-                map(group.minrep, repeat(stabilizers[v]), map(group.prod, reps, repeat(p))),
-            )
-            for v, p in zip(simplex, pullbacks[y])
-        ]
-        vertex_sets.extend(zip(*columns))
+    # the vertices come first, numbered in label order: zip stops at the end
+    # of each class's minima before it draws an id
+    n = quotient.vertex_count
+    ids = count()
+    vertex_ids = [dict(zip(r, ids)) for r in reps[:n]]  # per vertex class, minimum -> vertex id
+    vertex_sets = list(zip(range(next(ids))))  # per label, the sorted tuple of its vertex ids
+    pullbacks = [(0,)] * n  # per class y, P(y, v)^-1 for its vertex classes v, in order
+
+    for d, start, stop in zip(count(1), starts[1:], starts[2:]):
+        # facet 0 of y, y less its last vertex, gives the first d pullbacks;
+        # facet 1, y less the one before, ends with the last vertex class's
+        ys = range(start, stop)
+        firsts = list(map(itemgetter(0), faces[start:stop]))
+        seconds = list(map(itemgetter(1), faces[start:stop]))
+        downs = list(map(group.inv, map(transfers.__getitem__, zip(ys, firsts))))
+        below = list(map(pullbacks.__getitem__, firsts))
+        columns = [list(map(group.prod, downs, map(itemgetter(k), below))) for k in range(d)]
+        last_downs = map(group.inv, map(transfers.__getitem__, zip(ys, seconds)))
+        lasts = map(itemgetter(d - 1), map(pullbacks.__getitem__, seconds))
+        columns.append(list(map(group.prod, last_downs, lasts)))
+        pullbacks += zip(*columns)
+
+        # one column per vertex position: the id of vertex (v, minrep(S(v), g * p))
+        # for every label g of the dimension; vertex ids ascend with their
+        # class, so rows are sorted
+        per_class = counts[start:stop]
+        gs = list(chain.from_iterable(reps[start:stop]))
+        positions = []
+        for k, pulled in enumerate(columns):
+            vs = list(map(itemgetter(k), simplices[start:stop]))
+            stabs = chain.from_iterable(map(repeat, map(stabilizers.__getitem__, vs), per_class))
+            ps = chain.from_iterable(map(repeat, pulled, per_class))
+            lookups = chain.from_iterable(map(repeat, map(vertex_ids.__getitem__, vs), per_class))
+            cosets = map(group.minrep, stabs, map(group.prod, gs, ps))
+            positions.append(map(dict.__getitem__, lookups, cosets))
+        vertex_sets += zip(*positions)
 
     complex_ = SimplicialComplex(vertex_sets)
     ordered = [None] * len(complex_)

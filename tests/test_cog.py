@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -12,16 +13,21 @@ from equicompress.cog import (
 )
 from equicompress.compress import compress
 from equicompress.errors import FormatError
+from equicompress.complexes import build_complex
 from equicompress.families import (
     cycle_complex,
     cycle_rotation_action,
     hexagon_antipodal_action,
     regular_fixtures,
+    subdivide_action,
+    wheel_rotation_action,
 )
 from equicompress.groups import Subgroup
 from equicompress.reconstruct import reconstruct
 from oracles import validate_against_action
+from reference_cog import reference_validate_triple
 from relabel import renumbered_s3_triangle
+from test_reconstruct import mutated
 
 
 def test_validate_passes_on_compress_output():
@@ -140,6 +146,81 @@ def test_conjugation_violation():
     assert not validate_triple(triple).valid
 
 
+def _report(validate, triple):
+    report = validate(triple)
+    return report.valid, report.violations
+
+
+def test_validator_matches_the_reference():
+    # compress outputs and 600 mutants of each (seed 6), on the regular
+    # fixtures, wheel-5 and S_4 on a solid tetrahedron, whose 3-simplices
+    # have six path pairs each; (valid, violations) must agree exactly
+    actions = dict(regular_fixtures())
+    actions["wheel-5"] = wheel_rotation_action(5)
+    tetrahedron = build_complex([[0, 1, 2, 3]])
+    s4 = GroupAction.from_generator_perms([[1, 0, 2, 3], [1, 2, 3, 0]], tetrahedron)
+    actions["s4-tetrahedron-sd2"] = subdivide_action(s4, 2)
+    rng = random.Random(6)
+    outcomes = Counter()
+    for name, action in actions.items():
+        triple = compress(action)
+        assert _report(validate_triple, triple) == (True, []), name
+        for _ in range(600):
+            bad = mutated(triple, rng)
+            valid, violations = _report(validate_triple, bad)
+            assert (valid, violations) == _report(reference_validate_triple, bad), name
+            outcomes.update({v.split()[0] for v in violations} or {"valid"})
+    assert set(outcomes) == {"valid", "conjugation", "stabilizer", "paths"}, outcomes
+
+
+def test_hand_made_violations_match_the_reference():
+    fixtures = regular_fixtures()
+
+    # two vertex stabilizers swapped for another subgroup of order 2: every
+    # relation down to either breaks conjugation, listed in relation order
+    triple = compress(fixtures["klein-bowtie-sd2"])
+    group = triple.group
+    for y in [y for y, s in enumerate(triple.stabilizers) if len(s) == 2][:2]:
+        other = next(
+            g
+            for g in range(1, group.order)
+            if g not in triple.stabilizers[y] and group.prod(g, g) == 0
+        )
+        triple.stabilizers[y] = Subgroup(group, [0, other])
+    valid, violations = _report(validate_triple, triple)
+    assert (valid, violations) == _report(reference_validate_triple, triple)
+    assert len(violations) >= 2
+    assert all(v.startswith("conjugation by transfer of") for v in violations)
+
+    # one edge transfer under two triangles: a path pair under each disagrees
+    triple = compress(fixtures["c3-triangle-sd2"])
+    quotient = triple.quotient
+    tops_over = {}
+    for top, simplex in enumerate(quotient.simplices):
+        if len(simplex) == 3:
+            for mid in quotient.faces_codim1[top]:
+                tops_over.setdefault(mid, []).append(top)
+    mid = next(mid for mid, tops in tops_over.items() if len(tops) == 2)
+    bottom = quotient.faces_codim1[mid][0]
+    triple.transfers[mid, bottom] = triple.group.prod(triple.transfers[mid, bottom], 1)
+    valid, violations = _report(validate_triple, triple)
+    assert (valid, violations) == _report(reference_validate_triple, triple)
+    assert [v.split()[1] for v in violations] == [str(top) for top in tops_over[mid]]
+    assert all(v.startswith("paths ") for v in violations)
+
+    # an edge stabilizer shrunk to the identity: containment holds, the law fails
+    triple = compress(fixtures["klein-bowtie-sd2"])
+    y = next(
+        i
+        for i, s in enumerate(triple.stabilizers)
+        if len(triple.quotient.simplices[i]) == 2 and len(s) == 2
+    )
+    triple.stabilizers[y] = triple.group.subgroup([0])
+    valid, violations = _report(validate_triple, triple)
+    assert (valid, violations) == _report(reference_validate_triple, triple)
+    assert len(violations) == 1 and violations[0].startswith(f"stabilizer of class {y} lacks")
+
+
 def test_doc_roundtrip_is_byte_stable():
     action = regular_fixtures()["dihedral-3"]
     triple = compress(action)
@@ -202,6 +283,24 @@ def test_triple_from_doc_structural_errors():
     with pytest.raises(FormatError) as exc:
         triple_from_doc(bad)
     assert "$.stabilizers[0]" in str(exc.value)
+
+    # a later list equal to an earlier valid one, all of C_2, but for true or
+    # 1.0 in place of 1: each is refused where it stands, not read as the
+    # earlier list
+    for stand_in in (True, 1.0):
+        bad = json.loads(json.dumps(doc))
+        bad["stabilizers"][0] = [0, 1]
+        bad["stabilizers"][3] = [0, stand_in]
+        with pytest.raises(FormatError) as exc:
+            triple_from_doc(bad)
+        assert str(exc.value) == "$.stabilizers[3]: subgroup must be a list of element indices"
+
+    # one bad list repeated is named at its first index
+    bad = json.loads(json.dumps(doc))
+    bad["stabilizers"][1] = bad["stabilizers"][4] = [0, 1, 1]
+    with pytest.raises(FormatError) as exc:
+        triple_from_doc(bad)
+    assert str(exc.value) == "$.stabilizers[1]: subgroup lists an element index twice"
 
     bad = json.loads(json.dumps(doc))
     bad["transfers"].append(bad["transfers"][-1])

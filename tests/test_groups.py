@@ -60,12 +60,14 @@ def test_bfs_enumeration_order():
 
 
 def test_trivial_group():
-    # on 0 and 1 points the only generator is the identity, and the closure
-    # composes it without itemgetter
+    # on 0 and 1 points the only generator is the identity: the closure
+    # composes it without itemgetter, and the table walk never composes it
     for g in (
         enumerate_from_generators([], 3),
         enumerate_from_generators([[]], 0),
         enumerate_from_generators([[0]], 1),
+        group_from_doc({"order": 1, "generators": [[0]]}),
+        group_from_doc({"order": 1, "generators": []}),
     ):
         assert g.order == 1
         assert g.prod(0, 0) == 0

@@ -21,6 +21,7 @@ from equicompress.verify import (
 )
 
 from oracles import BruteForceBoundError, find_equivariant_isomorphism, verify_quotient_identity
+from reference_verify import reference_verify_roundtrip
 from relabel import moved_lifts, relabelled
 
 
@@ -219,6 +220,7 @@ def test_verifier_matches_the_reference():
             certificate = _certificate(acted)
             _, rc = roundtrip(acted)
             new = verify_roundtrip(acted, rc)
+            assert new.to_doc() == reference_verify_roundtrip(acted, rc).to_doc(), name
             ref = _reference_verify_roundtrip(acted, certificate, rc)
             assert (new.passed, _flags(new)) == (ref.passed, _flags(ref)), name
 
@@ -231,6 +233,8 @@ def test_verifier_matches_the_reference():
                 for a, b in {(sids[0], sids[1]), (sids[0], sids[-1])}:
                     bad = swapped(rc, a, b)
                     new = verify_roundtrip(acted, bad)
+                    # the label-major loops name the same counterexamples
+                    assert new.to_doc() == reference_verify_roundtrip(acted, bad).to_doc()
                     try:
                         ref = _reference_verify_roundtrip(acted, certificate, bad)
                     except NotAnAutomorphismError:
@@ -257,6 +261,7 @@ def test_verifier_matches_the_reference():
             widened = CompressedTriple(triple.group, triple.quotient, full, triple.transfers)
             bare = reconstruct(widened)
             new = verify_roundtrip(acted, bare)
+            assert new.to_doc() == reference_verify_roundtrip(acted, bare).to_doc(), name
             ref = _reference_verify_roundtrip(acted, certificate, bare)
             assert (new.passed, _flags(new)) == (ref.passed, _flags(ref)), name
             assert new.passed == (acted.group.order == 1), name
