@@ -27,6 +27,7 @@ from .errors import (
     TripleValidationError,
 )
 from .families import subdivide_action
+from .groups import DEFAULT_MAX_ORDER
 from .reconstruct import reconstruct
 from .verify import verify_roundtrip
 
@@ -79,6 +80,8 @@ def _load_action(complex_path, action_path):
     if not isinstance(doc, dict):
         raise FormatError("action must be an object")
     if "complex" in doc:
+        if complex_path:
+            raise FormatError("not allowed beside an inline complex", "--complex")
         complex_ = complex_from_doc(doc["complex"], "$.complex")
     elif complex_path:
         complex_ = _load_complex(complex_path)
@@ -169,9 +172,16 @@ def cmd_validate_triple(args):
 
 
 def cmd_bench(args):
+    # every family's group order is at least its size, so a size past the
+    # order cap is refused before any family member is built
+    if max(args.orders) > DEFAULT_MAX_ORDER:
+        raise FormatError(
+            f"{max(args.orders)} exceeds the maximum order {DEFAULT_MAX_ORDER}", "--orders"
+        )
     try:
         rows = run_bench(args.family, args.orders, repeats=args.repeats)
-    except (ValueError, GroupTooLargeError) as exc:  # no family member at some order
+    except (ValueError, GroupTooLargeError, ComplexTooLargeError) as exc:
+        # no family member at some order, or one past a size limit
         raise FormatError(str(exc), "--orders") from exc
     exponents = growth_exponents(rows) if len(args.orders) > 1 else None
     _write(rows_to_csv(rows, exponents), args.out)

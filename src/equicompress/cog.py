@@ -13,7 +13,9 @@ action it came from.  Both readers of a triple work on whole lists:
 ``triple_from_doc`` checks each distinct stabilizer list once, after one pass
 over every entry's types, and ``validate_triple`` checks each distinct
 conjugation and path pair once, reading the quotient a dimension and a facet
-position at a time.  Violations are spelled out only once a check has failed.
+position at a time.  Each law has this one pass: it keeps its failing cases,
+and only once one has failed are the violations spelled out, from the keys
+the pass built.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ def validate_triple(triple):
     intersection outside S(y).  It is checked only once every embedding holds.
     Each check runs once per distinct case: a conjugation per (parent
     stabilizer, child stabilizer, transfer), keyed by the stabilizers' ids, and
-    a path pair per (four transfers, bottom stabilizer).  The violations are
-    listed, in relation, class and path order, only once a case has failed.
+    a path pair per (four transfers, bottom stabilizer).  Only once a case has
+    failed are the violations listed, in relation, class and path order (by
+    top, then bottom), each by the key of its failing case.
     """
     group, quotient, transfers = triple.group, triple.quotient, triple.transfers
     stabilizers = triple.stabilizers
@@ -135,29 +138,43 @@ def validate_triple(triple):
     # Path independence over every pair of descending codim-1 paths of
     # length two sharing both endpoints: the paths from a d-simplex down past
     # its vertices at positions i < j, through the facet less j (facet d - j,
-    # as facet k drops vertex d - k) and through the facet less i.
-    path_pairs = set()
+    # as facet k drops vertex d - k: the lower id, so the reference path) and
+    # through the facet less i.  Exactly these two paths join a top to each
+    # of its codimension-2 faces.
+    paths = []  # (tops, mids less j, mids less i, bottoms, cases) per d and i < j
     for d, start, stop in zip(count(2), quotient._starts[2:], quotient._starts[3:]):
         tops = range(start, stop)
         columns = [list(map(itemgetter(k), faces[start:stop])) for k in range(d + 1)]
         for i, j in combinations(range(d + 1), 2):
             mids_j, mids_i = columns[d - j], columns[d - i]
             bottoms = list(map(itemgetter(d - 1 - i), map(faces.__getitem__, mids_j)))
-            path_pairs.update(
-                zip(
-                    map(transfers.__getitem__, zip(tops, mids_j)),
-                    map(transfers.__getitem__, zip(mids_j, bottoms)),
-                    map(transfers.__getitem__, zip(tops, mids_i)),
-                    map(transfers.__getitem__, zip(mids_i, bottoms)),
-                    map(ids.__getitem__, bottoms),
-                )
+            cases = zip(
+                map(transfers.__getitem__, zip(tops, mids_j)),
+                map(transfers.__getitem__, zip(mids_j, bottoms)),
+                map(transfers.__getitem__, zip(tops, mids_i)),
+                map(transfers.__getitem__, zip(mids_i, bottoms)),
+                map(ids.__getitem__, bottoms),
             )
-    for t_top_j, t_j, t_top_i, t_i, bottom in path_pairs:
+            paths.append((tops, mids_j, mids_i, bottoms, list(cases)))
+    deltas = {}  # failing case -> the disagreement, outside the bottom stabilizer
+    for case in set(chain.from_iterable(map(itemgetter(4), paths))):
+        t_top_j, t_j, t_top_i, t_i, bottom = case
         reference = group.prod(t_j, t_top_j)
         delta = group.prod(reference, group.inv(group.prod(t_i, t_top_i)))
         if delta not in by_id[bottom]:
-            violations += _path_violations(triple)
-            break
+            deltas[case] = delta
+    if deltas:
+        disagreements = sorted(
+            (top, bottom, mid_j, mid_i, deltas[case])
+            for tops, mids_j, mids_i, bottoms, cases in paths
+            for top, mid_j, mid_i, bottom, case in zip(tops, mids_j, mids_i, bottoms, cases)
+            if case in deltas
+        )
+        for top, bottom, mid_j, mid_i, delta in disagreements:
+            violations.append(
+                f"paths {top} >= {mid_j} >= {bottom} and {top} >= {mid_i} >= {bottom} "
+                f"disagree by {delta}, outside the bottom stabilizer"
+            )
 
     return ValidationReport(not violations, violations)
 
@@ -174,29 +191,6 @@ def _parents(quotient):
         sorted(list(range(start, stop)) * (d + 1))
         for d, start, stop in zip(count(1), starts[1:], starts[2:])
     )
-
-
-def _path_violations(triple):
-    """Every disagreeing length-2 path pair, by top, then bottom id."""
-    group, faces, transfers = triple.group, triple.quotient.faces_codim1, triple.transfers
-    violations = []
-    for top in range(len(faces)):
-        paths = {}
-        for mid in faces[top]:
-            for bottom in faces[mid]:
-                product = group.prod(transfers[mid, bottom], transfers[top, mid])
-                paths.setdefault(bottom, []).append((mid, product))
-        for bottom, entries in sorted(paths.items()):
-            _, reference = entries[0]
-            for mid, product in entries[1:]:
-                delta = group.prod(reference, group.inv(product))
-                if delta not in triple.stabilizers[bottom]:
-                    violations.append(
-                        f"paths {top} >= {entries[0][0]} >= {bottom} and "
-                        f"{top} >= {mid} >= {bottom} disagree by {delta}, "
-                        f"outside the bottom stabilizer"
-                    )
-    return violations
 
 
 def triple_to_doc(triple):

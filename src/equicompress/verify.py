@@ -9,8 +9,9 @@ is the point whose coset of the lift's stabilizer is g's.  Well-definedness is
 checked on the stabilizer elements and equivariance on the generator rows,
 which is exhaustive: g and minrep(S(y), g) differ by an element of S(y), and a
 map between two G-actions that commutes with a generating set commutes with G.
-The brute-force cross-checks of this verdict (an equivariant isomorphism
-search, and the quotient of the recovered action) are test oracles, in
+Each property has one pass, which also names its counterexample.  The
+brute-force cross-checks of this verdict (an equivariant isomorphism search,
+and the quotient of the recovered action) are test oracles, in
 ``tests/oracles.py``.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .actions import quotient
 from .complexes import complexes_equal
@@ -106,29 +107,24 @@ def verify_roundtrip(action, rc):
     )
 
     # one pass per generator h: the image under h of each label's point must
-    # be the point of the label h moves it to
+    # be the point of the label h moves it to.  A failing pass yields its first
+    # mismatching label; the counterexample is the least of these, at the
+    # earliest generator that fails there.
     image_of = dict(zip(rc.labels, comparison))
     classes = list(map(itemgetter(0), rc.labels))
     elements = list(map(itemgetter(1), rc.labels))
     label_stabilizers = list(map(triple.stabilizers.__getitem__, classes))
-    steps = list(zip(action.group.generators, action.generator_rows))
-    equivariant = True
-    for h, row in steps:
+    failures = []  # (first mismatching label, generator) per failing pass
+    for h, row in zip(action.group.generators, action.generator_rows):
         cosets = map(group.minrep, label_stabilizers, map(group.prod, repeat(h), elements))
-        if list(map(image_of.get, zip(classes, cosets))) != list(map(row.__getitem__, comparison)):
-            equivariant = False
-            break
+        moved = list(map(image_of.get, zip(classes, cosets)))
+        images = list(map(row.__getitem__, comparison))
+        if moved != images:
+            failures.append((list(map(ne, moved, images)).index(True), h))
     counterexample = None
-    if not equivariant:  # the first counterexample, label by label
-        sid_of = {label: sid for sid, label in enumerate(rc.labels)}
-        for sid, (y, g) in enumerate(rc.labels):
-            for h, row in steps:
-                moved = sid_of.get((y, group.minrep(triple.stabilizers[y], group.prod(h, g))))
-                if moved is None or comparison[moved] != row[comparison[sid]]:
-                    counterexample = {"simplex": sid, "element": h}
-                    break
-            if counterexample:
-                break
+    if failures:
+        sid, h = min(failures, key=itemgetter(0))
+        counterexample = {"simplex": sid, "element": h}
     properties["equivariant"] = (counterexample is None, counterexample)
 
     counterexample = None

@@ -181,6 +181,11 @@ def test_split_action_form_writes_the_inline_output(tmp_path, capsys, command):
         capsys.readouterr().err
     )
 
+    # --complex beside an inline complex is refused, not ignored
+    missing = str(tmp_path / "missing" / "complex.json")
+    assert main([*command, "--action", inline, "--complex", missing]) == 2
+    assert "error: --complex: not allowed beside an inline complex" in capsys.readouterr().err
+
 
 def test_compress_reconstruct_roundtrip(tmp_path, capsys, hexagon_action_file):
     triple_path = str(tmp_path / "triple.json")
@@ -395,6 +400,19 @@ def test_bench_rejects_bad_sizes(argv, capsys):
     assert "--orders" in err or "--repeats" in err
 
 
+def test_bench_refuses_a_size_past_the_order_cap_before_building(capsys, monkeypatch):
+    built = []
+
+    def builder(order):
+        built.append(order)
+        raise AssertionError("a family member was built past the order cap")
+
+    monkeypatch.setitem(cli.FAMILIES, "cycle", builder)
+    assert main(["bench", "--family", "cycle", "--orders", "200000"]) == 2
+    assert capsys.readouterr().err.startswith("error: --orders: 200000 exceeds the maximum order")
+    assert built == []
+
+
 def run_cli(argv, address_space=1 << 30):
     """Run the CLI in a fresh process with 1 GiB of address space, the bytes
     given, or no limit for None."""
@@ -607,6 +625,8 @@ SMALLER_GROUP = _triple_over({"order": 4, "generators": [[1, 0, 3, 2]]})
         (["validate-triple", "--triple"], SMALLER_GROUP),
         # C_4097 rotating a wheel: the closure passes the order cap
         (["bench", "--family", "simplex-rotation", "--orders", "4097"], None),
+        # C_4000 rotating a wheel: the twice-subdivided wheel passes the simplex cap
+        (["bench", "--family", "simplex-rotation", "--orders", "4000"], None),
         (["subdivide"], None),
     ],
     ids=[
@@ -622,6 +642,7 @@ SMALLER_GROUP = _triple_over({"order": 4, "generators": [[1, 0, 3, 2]]})
         "triple-group-not-regular",
         "triple-group-smaller-than-its-order",
         "bench-order-cap",
+        "bench-simplex-cap",
         "subdivide-no-input",
     ],
 )

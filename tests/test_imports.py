@@ -1,4 +1,4 @@
-"""The runtime depends on the standard library alone."""
+"""The runtime depends on the standard library alone, and reads every name it imports."""
 
 import ast
 import sys
@@ -35,3 +35,32 @@ def test_star_import_binds_every_public_name():
     exec("from equicompress import *", namespace)
     assert len(set(equicompress.__all__)) == len(equicompress.__all__)
     assert not set(equicompress.__all__) - set(namespace)
+
+
+def unread_imports(path):
+    """Names a module imports at top level and never reads; a name listed in
+    its ``__all__`` is a re-export, and ``__future__`` imports are directives."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = []
+    exported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported = ast.literal_eval(node.value)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in read and name not in exported]
+
+
+def test_every_top_level_import_is_read():
+    modules = sorted(PACKAGE.glob("*.py"))
+    unread = {path.name: unread_imports(path) for path in modules}
+    assert not any(unread.values()), unread

@@ -1,3 +1,4 @@
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -266,6 +267,46 @@ def test_verifier_matches_the_reference():
             assert (new.passed, _flags(new)) == (ref.passed, _flags(ref)), name
             assert new.passed == (acted.group.order == 1), name
     assert raised and reported
+
+
+def _first_failure(action, rc, h):
+    """The first label that generator h does not carry onto the label of its
+    moved point, or None; read with ``act_on_simplex``, label by label."""
+    _, _, lifts = quotient(action)
+    group, stabilizers = rc.triple.group, rc.triple.stabilizers
+    labels = set(rc.labels)
+    for sid, (y, g) in enumerate(rc.labels):
+        moved = group.minrep(stabilizers[y], group.prod(h, g))
+        image = action.act_on_simplex(h, action.act_on_simplex(g, lifts[y]))
+        if (y, moved) not in labels or action.act_on_simplex(moved, lifts[y]) != image:
+            return sid
+    return None
+
+
+def test_equivariance_counterexample_is_the_least_label_over_the_generators():
+    # labels moved to random elements over their class: each failing
+    # generator pass names its first mismatching label, and the counterexample
+    # is the least of these, at the earlier generator on a tie, as in the
+    # label-major reference; some cases fail at the second generator first
+    rng = random.Random(25)
+    fixtures = regular_fixtures()
+    second_first = 0
+    for name in ("dihedral-3", "dihedral-4", "dihedral-6", "klein-bowtie-sd2"):
+        action = fixtures[name]
+        first_generator, second_generator = action.group.generators
+        _, rc = roundtrip(action)
+        for _ in range(60):
+            labels = list(rc.labels)
+            for sid in rng.sample(range(len(labels)), rng.randint(1, 2)):
+                labels[sid] = (labels[sid][0], rng.randrange(action.group.order))
+            bad = ReconstructedComplex(rc.complex, labels, rc.triple)
+            doc = verify_roundtrip(action, bad).to_doc()
+            assert doc == reference_verify_roundtrip(action, bad).to_doc(), name
+            counterexample = doc["properties"]["equivariant"]["counterexample"]
+            if counterexample and counterexample["element"] == second_generator:
+                first = _first_failure(action, bad, first_generator)
+                second_first += first is not None and first > counterexample["simplex"]
+    assert second_first
 
 
 def test_passing_verification_reads_one_coset_per_simplex_and_generator():
