@@ -174,10 +174,9 @@ def cmd_validate_triple(args):
 def cmd_bench(args):
     # every family's group order is at least its size, so a size past the
     # order cap is refused before any family member is built
-    if max(args.orders) > DEFAULT_MAX_ORDER:
-        raise FormatError(
-            f"{max(args.orders)} exceeds the maximum order {DEFAULT_MAX_ORDER}", "--orders"
-        )
+    largest = max(args.orders)
+    if largest > DEFAULT_MAX_ORDER:
+        raise FormatError(f"{largest} exceeds the maximum order {DEFAULT_MAX_ORDER}", "--orders")
     try:
         rows = run_bench(args.family, args.orders, repeats=args.repeats)
     except (ValueError, GroupTooLargeError, ComplexTooLargeError) as exc:
