@@ -4,6 +4,10 @@ A complex X with a regular action of a finite group G compresses to the
 triple (quotient complex, stabilizer per orbit class, transfer element per
 codimension-1 relation); the triple reconstructs, up to equivariant
 isomorphism, the original action.
+
+``equicompress.compress`` and ``equicompress.reconstruct`` are the functions,
+which shadow the submodules of the same names; the modules are reached with
+``importlib.import_module("equicompress.reconstruct")``.
 """
 
 from .actions import (

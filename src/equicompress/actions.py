@@ -33,9 +33,6 @@ orbit, which under (3) meets the simplex in that vertex alone, so the vertex is
 fixed; stabilizers are only built for orbits whose key repeats a vertex orbit.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from operator import itemgetter
@@ -55,11 +52,11 @@ ORBIT_CLOSURE = "orbit-closure"
 DISTINCT_VERTEX_ORBITS = "distinct-vertex-orbits"
 
 
-@dataclass
 class RegularityReport:
-    regular: bool
-    condition: str | None = None
-    witness: dict | None = None
+    def __init__(self, regular, condition=None, witness=None):
+        self.regular = regular
+        self.condition = condition
+        self.witness = witness
 
     def to_doc(self):
         return {

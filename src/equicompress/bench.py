@@ -8,8 +8,6 @@ reconstruction (everything else held fixed), so the fitted exponents are
 checked one-sidedly against 1 and 2 plus slack.
 """
 
-from __future__ import annotations
-
 import math
 import time
 from collections import Counter

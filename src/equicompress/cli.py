@@ -6,8 +6,6 @@ with sorted keys, one line written by ``json``'s C encoder, so files are
 byte-deterministic given the inputs and flags.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -18,9 +18,6 @@ and only once one has failed are the violations spelled out, from the keys
 the pass built.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, count
 from operator import contains, itemgetter, not_
 
@@ -29,18 +26,18 @@ from .errors import FormatError
 from .groups import group_from_doc, group_to_doc
 
 
-@dataclass
 class CompressedTriple:
-    group: object
-    quotient: object
-    stabilizers: list  # Subgroup per quotient simplex id
-    transfers: dict  # (parent id, child id) -> element index
+    def __init__(self, group, quotient, stabilizers, transfers):
+        self.group = group
+        self.quotient = quotient
+        self.stabilizers = stabilizers  # Subgroup per quotient simplex id
+        self.transfers = transfers  # (parent id, child id) -> element index
 
 
-@dataclass
 class ValidationReport:
-    valid: bool
-    violations: list = field(default_factory=list)
+    def __init__(self, valid, violations):
+        self.valid = valid
+        self.violations = violations
 
     def to_doc(self):
         return {"valid": self.valid, "violations": self.violations}

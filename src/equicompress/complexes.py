@@ -7,8 +7,6 @@ be a plain list and serialization is byte-deterministic.  The vertices come
 first, and vertex v is simplex v, so a complex counts its own vertices.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from itertools import chain, combinations, count, filterfalse, repeat
 from math import comb

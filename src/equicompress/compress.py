@@ -5,8 +5,6 @@ stabilizer of its lift and one transfer per codimension-1 face of the lift.
 The lifts are the ones ``quotient`` returns, the minimal member of each class.
 """
 
-from __future__ import annotations
-
 from .actions import quotient
 from .cog import CompressedTriple
 

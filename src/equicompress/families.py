@@ -9,8 +9,6 @@ regular action.  The builders return raw actions, ``wheel_rotation_action``
 excepted; a subdivided one is ``subdivide_action(builder(), n)``.
 """
 
-from __future__ import annotations
-
 from .actions import GroupAction, induced_action_on_subdivision
 from .complexes import build_complex
 

@@ -9,8 +9,6 @@ A group keeps one ``Subgroup`` per member set, its closure checked once by
 ``extend_subgroup``; membership and left cosets are read from its coset table.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from operator import itemgetter
 

@@ -16,8 +16,6 @@ force: the face relation recomputed over every comparable label pair is the
 containment order of the complex.
 """
 
-from __future__ import annotations
-
 from itertools import chain, count, repeat
 from operator import itemgetter
 

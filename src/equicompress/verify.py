@@ -15,9 +15,6 @@ and the quotient of the recovered action) are test oracles, in
 ``tests/oracles.py``.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter, ne
 
@@ -35,10 +32,10 @@ PROPERTIES = (
 )
 
 
-@dataclass
 class EquivarianceReport:
-    passed: bool
-    properties: dict = field(default_factory=dict)  # name -> (ok, counterexample)
+    def __init__(self, passed, properties):
+        self.passed = passed
+        self.properties = properties  # name -> (ok, counterexample)
 
     def to_doc(self):
         return {

@@ -1,6 +1,8 @@
 """The runtime depends on the standard library alone, and reads every name it imports."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,6 +37,36 @@ def test_star_import_binds_every_public_name():
     exec("from equicompress import *", namespace)
     assert len(set(equicompress.__all__)) == len(equicompress.__all__)
     assert not set(equicompress.__all__) - set(namespace)
+
+
+# What ``dataclasses`` loads to write its methods; no command needs any of it.
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+SETUP_STEPS = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import equicompress.cli as cli\n"
+    "cli.build_parser()\n"
+    "print(cli.__file__, *sorted(set(sys.modules) - before))\n"
+)
+
+
+def test_cli_setup_loads_no_introspection_modules():
+    """A fresh interpreter that imports the CLI and builds its parser (the
+    set-up that perfbench's ``setup_s`` times) adds none of ``INTROSPECTION``
+    to ``sys.modules``.  Only the modules those steps add are compared, so one
+    that a site hook loaded earlier does not count."""
+    done = subprocess.run(
+        [sys.executable, "-c", SETUP_STEPS],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    where, *added = done.stdout.split()
+    assert Path(where).resolve() == PACKAGE / "cli.py"
+    assert not INTROSPECTION & set(added), sorted(INTROSPECTION & set(added))
 
 
 def unread_imports(path):
