@@ -20,7 +20,9 @@ their minimal member, and a transversal t[x] carrying each orbit's minimum to
 x.  The stabilizer of a minimum is closed from Schreier generators, and
 conjugating it by t[x] gives the stabilizer of x.  By orbit-stabilizer, the
 vertex images are an action of the group exactly when each
-vertex orbit's stabilizer, so closed, has |G| / |orbit| elements.  The
+vertex orbit's stabilizer, so closed, has |G| / |orbit| elements; and a free
+orbit (|G| points) and a fixed one (one point) take their stabilizers, the
+trivial group and G, from orbit-stabilizer alone, with no closure.  The
 elements carrying x to y form the coset t[y] * Stab(min) * t[x]^-1, and g * x
 is the point whose coset is g * t[x] * Stab(min) (Seress, *Permutation Group
 Algorithms*, 2003, ch. 4).
@@ -34,7 +36,7 @@ fixed; stabilizers are only built for orbits whose key repeats a vertex orbit.
 """
 
 from functools import cached_property
-from itertools import count
+from itertools import count, repeat
 from operator import itemgetter
 
 from . import groups
@@ -97,7 +99,7 @@ class GroupAction:
                 f"stabilizers of {len(self._orbits)} orbits under a group of order "
                 f"{group.order} exceed the maximum of {groups.MAX_TABLE_ENTRIES} table entries"
             )
-        self._check_vertex_orbits()
+        self._vertex_stabilizers = self._check_vertex_orbits()
 
     @classmethod
     def from_generator_perms(cls, generator_perms, complex_):
@@ -160,7 +162,9 @@ class GroupAction:
         return ids, transversal, orbits
 
     def _check_vertex_orbits(self):
-        """Raise unless the vertex images are an action of the group.
+        """Raise unless the vertex images are an action of the group; return
+        the stabilizer elements of each vertex orbit's minimum, closed in full
+        (None for a one-point orbit).
 
         The free group F on the generators acts on an orbit O by the images
         and maps onto G, and the Schreier generators close to the image H of
@@ -169,13 +173,17 @@ class GroupAction:
         one-point orbit passes: its Schreier generators are the generators.
         """
         order = self.group.order
+        closed = []
         for members in self._orbits:
             if members[0] >= self.complex.vertex_count:
                 break  # vertices come first, so their orbits do too
-            if len(members) > 1 and len(self._stabilizer_elements(members)) * len(members) != order:
+            elements = self._stabilizer_elements(members) if len(members) > 1 else None
+            if elements is not None and len(elements) * len(members) != order:
                 raise NotAnAutomorphismError(
                     "vertex tables are not compatible with the group multiplication"
                 )
+            closed.append(elements)
+        return closed
 
     def _stabilizer_elements(self, members, size=None):
         """The subgroup generated by t[s*x]^-1 * s * t[x] over the orbit's points x
@@ -206,22 +214,35 @@ class GroupAction:
         g carries each vertex into that vertex's own orbit, so every member of
         an orbit has its minimum's key.
         """
-        ids, simplices = self.orbit_ids, self.complex.simplices
-        return [tuple(sorted(ids[v] for v in simplices[members[0]])) for members in self._orbits]
+        minima = map(self.complex.simplices.__getitem__, map(itemgetter(0), self._orbits))
+        return list(map(tuple, map(sorted, map(map, repeat(self.orbit_ids.__getitem__), minima))))
 
     @cached_property
     def _stabilizers(self):
-        """Per orbit, the stabilizer of its minimum, closed from Schreier generators.
+        """Per orbit, the stabilizer of its minimum, of |G| / |orbit| elements.
 
-        Each closure stops once it holds |G| / |orbit| elements, so a free
-        orbit costs nothing and a one-point orbit, fixed by all of G, none.
+        By orbit-stabilizer, an orbit of |G| points has the trivial stabilizer
+        and a one-point orbit has G, so neither is closed.  A vertex orbit's
+        was closed in full by the action check; any other is closed from
+        Schreier generators until it holds |G| / |orbit| elements.
         """
-        group, full = self.group, self.group.full_subgroup()
-        return [
-            group.subgroup(self._stabilizer_elements(members, group.order // len(members)))
-            if len(members) > 1 else full
-            for members in self._orbits
-        ]
+        group, order = self.group, self.group.order
+        trivial, full = group.subgroup([0]), group.full_subgroup()
+        closed = self._vertex_stabilizers
+        stabilizers = []
+        for oid, members in enumerate(self._orbits):
+            size = len(members)
+            if size == order:
+                stabilizers.append(trivial)
+            elif size == 1:
+                stabilizers.append(full)
+            elif oid < len(closed):
+                stabilizers.append(group.subgroup(closed[oid]))
+            else:
+                stabilizers.append(
+                    group.subgroup(self._stabilizer_elements(members, order // size))
+                )
+        return stabilizers
 
     @cached_property
     def coset_points(self):

@@ -25,6 +25,14 @@ FAMILIES = {
     "simplex-rotation": wheel_rotation_action,
 }
 
+# Per family, the group order and the number of points its closure runs on at
+# size m, known before the family member is built.
+CLOSURE_SIZES = {
+    "cycle": lambda m: (m, 4 * m),
+    "dihedral-cycle": lambda m: (2 * m, 4 * m),
+    "simplex-rotation": lambda m: (m, m + 1),
+}
+
 COMPRESS_EXPONENT_BOUND = 1.0
 RECONSTRUCT_EXPONENT_BOUND = 2.0
 EXPONENT_SLACK = 0.3

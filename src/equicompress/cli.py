@@ -4,15 +4,21 @@ Exit codes: 0 success, 1 mathematical failure (irregular action, invalid
 triple, roundtrip mismatch), 2 malformed input.  All JSON output is compact
 with sorted keys, one line written by ``json``'s C encoder, so files are
 byte-deterministic given the inputs and flags.
+
+``main`` pauses the cyclic garbage collector while a command runs and then
+restores the state it found.  No command makes a reference cycle, so
+reference counting frees all it allocates, and a collection would only scan.
 """
 
 import argparse
+import gc
 import json
 import sys
 from functools import cache
 
+from . import groups
 from .actions import action_from_doc, action_to_doc, check_regularity, quotient
-from .bench import FAMILIES, growth_exponents, rows_to_csv, run_bench
+from .bench import CLOSURE_SIZES, FAMILIES, growth_exponents, rows_to_csv, run_bench
 from .cog import triple_from_doc, triple_to_doc, validate_triple
 from .complexes import barycentric_subdivision, complex_from_doc, complex_to_doc
 from .compress import compress, compression_ratio
@@ -25,7 +31,6 @@ from .errors import (
     TripleValidationError,
 )
 from .families import subdivide_action
-from .groups import DEFAULT_MAX_ORDER
 from .reconstruct import reconstruct
 from .verify import verify_roundtrip
 
@@ -171,10 +176,21 @@ def cmd_validate_triple(args):
 
 def cmd_bench(args):
     # every family's group order is at least its size, so a size past the
-    # order cap is refused before any family member is built
+    # order cap is refused before any family member is built; so is a size
+    # whose closure, |G| permutations of the family's points, passes the table budget
     largest = max(args.orders)
-    if largest > DEFAULT_MAX_ORDER:
-        raise FormatError(f"{largest} exceeds the maximum order {DEFAULT_MAX_ORDER}", "--orders")
+    if largest > groups.DEFAULT_MAX_ORDER:
+        raise FormatError(
+            f"{largest} exceeds the maximum order {groups.DEFAULT_MAX_ORDER}", "--orders"
+        )
+    for size in args.orders:
+        order, points = CLOSURE_SIZES[args.family](size)
+        if order * points > groups.MAX_TABLE_ENTRIES:
+            raise FormatError(
+                f"{size}: a closure of {order} permutations of {points} points exceeds "
+                f"the maximum of {groups.MAX_TABLE_ENTRIES} table entries",
+                "--orders",
+            )
     try:
         rows = run_bench(args.family, args.orders, repeats=args.repeats)
     except (ValueError, GroupTooLargeError, ComplexTooLargeError) as exc:
@@ -254,6 +270,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # no command makes a reference cycle, so a collection would only scan
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         try:
             return args.fn(args)
@@ -266,6 +285,9 @@ def main(argv=None):
     except EquicompressError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -5,10 +5,14 @@ closed set of them, given in any order, in canonical order, i.e. by
 (dimension, lexicographic vertex tuple), so every map keyed by simplices can
 be a plain list and serialization is byte-deterministic.  The vertices come
 first, and vertex v is simplex v, so a complex counts its own vertices.
+The facet lists, ``faces_codim1``, are built on first read; ``facets_of``
+reads those of a few ids only, a dimension at a time, so a caller that needs
+the facets of one simplex per orbit never builds the whole table.
 """
 
 from bisect import bisect_left
-from itertools import chain, combinations, count, filterfalse, repeat
+from functools import cached_property
+from itertools import chain, combinations, count, filterfalse, groupby, repeat
 from math import comb
 
 from .errors import ComplexTooLargeError, FormatError, MalformedSimplexError
@@ -35,18 +39,38 @@ class SimplicialComplex:
         n = self.vertex_count = bisect_left(simplices, 2, key=len)
         if simplices[:n] != list(zip(range(n))):
             raise ValueError(f"a complex of {n} vertices must list exactly the vertices 0..{n - 1}")
-        index = self.index = dict(zip(simplices, range(len(simplices))))
-        # vertex v is simplex v, so an edge's facets are its vertices; above
-        # that, combinations drops vertex d, d-1, ..., 0: the facets come out ascending
-        facets = [[] for _ in range(n)]
-        for size, start, stop in zip(count(2), starts[1:], starts[2:]):
-            bucket = simplices[start:stop]
-            if size == 2:
-                facets += map(list, bucket)
-            else:
-                faces = map(combinations, bucket, repeat(size - 1))
-                facets += map(list, map(map, repeat(index.__getitem__), faces))
-        self.faces_codim1 = facets
+        self.index = dict(zip(simplices, range(len(simplices))))
+
+    @cached_property
+    def faces_codim1(self):
+        """Per simplex, the ids of its codimension-1 faces, built on first read."""
+        starts, simplices = self._starts, self.simplices
+        facets = []
+        for size, start, stop in zip(count(1), starts, starts[1:]):
+            facets += self._facets(size, simplices[start:stop])
+        return facets
+
+    def facets_of(self, sids):
+        """The facet lists of the given ids, in their order; one pass per run of
+        ids of one dimension, so ids given a dimension at a time take one pass each."""
+        facets = []
+        for size, bucket in groupby(map(self.simplices.__getitem__, sids), len):
+            facets += self._facets(size, list(bucket))
+        return facets
+
+    def _facets(self, size, bucket):
+        """Facet lists of simplices of ``size`` vertices each.
+
+        Vertex v is simplex v, so a vertex has none and an edge's facets are
+        its vertices; above that, combinations drops vertex d, d-1, ..., 0:
+        the facets come out ascending.
+        """
+        if size == 1:
+            return [[] for _ in bucket]
+        if size == 2:
+            return list(map(list, bucket))
+        faces = map(combinations, bucket, repeat(size - 1))
+        return list(map(list, map(map, repeat(self.index.__getitem__), faces)))
 
     def __len__(self):
         return len(self.simplices)

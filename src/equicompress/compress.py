@@ -2,7 +2,8 @@
 
 Orbit classes are processed in canonical order: each class records the
 stabilizer of its lift and one transfer per codimension-1 face of the lift.
-The lifts are the ones ``quotient`` returns, the minimal member of each class.
+The lifts are the ones ``quotient`` returns, the minimal member of each class,
+and only their facet lists are built.
 """
 
 from .actions import quotient
@@ -18,9 +19,10 @@ def compress(action):
 
     stabilizers = []
     transfers = {}
-    for y, lift in enumerate(lifts):
+    # the lifts come in class order, so a dimension at a time
+    for y, (lift, facets) in enumerate(zip(lifts, action.complex.facets_of(lifts))):
         stabilizers.append(action.stab(lift))
-        for z in action.complex.faces_codim1[lift]:
+        for z in facets:
             child = orbit_map[z]
             transfers[(y, child)] = action.trans(z, lifts[child])
 

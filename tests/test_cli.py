@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 import resource
@@ -411,6 +412,26 @@ def test_bench_refuses_a_size_past_the_order_cap_before_building(capsys, monkeyp
     assert main(["bench", "--family", "cycle", "--orders", "200000"]) == 2
     assert capsys.readouterr().err.startswith("error: --orders: 200000 exceeds the maximum order")
     assert built == []
+
+
+def test_bench_refuses_a_size_past_the_table_budget_before_building(capsys, monkeypatch):
+    # C_m rotating a 4m-gon closes m permutations of 4m points: 4 * 2896^2 is
+    # within 2^25 table entries and 4 * 2897^2 is not
+    built = []
+
+    def builder(order):
+        built.append(order)
+        raise AssertionError("a family member was built")
+
+    monkeypatch.setitem(cli.FAMILIES, "cycle", builder)
+    assert main(["bench", "--family", "cycle", "--orders", "3,2897"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --orders: 2897: a closure of 2897 permutations of 11588 points exceeds"
+    )
+    assert built == []
+    with pytest.raises(AssertionError, match="a family member was built"):
+        main(["bench", "--family", "cycle", "--orders", "2896"])
+    assert built == [2896]
 
 
 def run_cli(argv, address_space=1 << 30):
@@ -827,3 +848,49 @@ def test_every_cli_artifact_is_the_sorted_compact_json_text(tmp_path, monkeypatc
     for doc, path in written:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert Path(path).read_text() == text + "\n"
+
+
+@pytest.mark.parametrize("name", ["klein-bowtie-sd2", "dihedral-4"])
+def test_commands_leave_nothing_to_the_paused_collector(tmp_path, capsys, name):
+    # main pauses the cyclic collector, which is safe because no command makes
+    # a reference cycle: everything a command allocates is freed by reference counts
+    action = write(tmp_path, "action.json", action_to_doc(regular_fixtures()[name]))
+    triple = str(tmp_path / "triple.json")
+    commands = [
+        ["check-regular", "--action", action],
+        ["subdivide", "--action", action, "--times", "1"],
+        ["quotient", "--action", action],
+        ["compress", "--action", action, "--out", triple],
+        ["reconstruct", "--triple", triple],
+        ["validate-triple", "--triple", triple],
+        ["roundtrip", "--action", action],
+    ]
+    cli.build_parser()
+    collecting = gc.isenabled()
+    try:
+        for argv in commands:
+            gc.collect()
+            gc.disable()
+            assert main(argv) == 0, argv[0]
+            assert gc.collect() == 0, argv[0]
+    finally:
+        if collecting:
+            gc.enable()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, collecting):
+    regular = write(tmp_path, "regular.json", action_to_doc(hexagon_antipodal_action()))
+    irregular = write(tmp_path, "irregular.json", action_to_doc(klein_four_bowtie_action()))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    was = gc.isenabled()
+    try:
+        for path, code in ((regular, 0), (irregular, 1), (str(malformed), 2)):
+            gc.enable() if collecting else gc.disable()
+            assert main(["check-regular", "--action", path]) == code
+            assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
+    capsys.readouterr()

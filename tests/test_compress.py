@@ -1,6 +1,6 @@
 import pytest
 
-from equicompress.actions import quotient
+from equicompress.actions import check_regularity, quotient
 from equicompress.bench import counted
 from equicompress.cog import validate_triple
 from equicompress.compress import compress, compression_ratio
@@ -69,3 +69,16 @@ def test_trivial_action_ratio_is_one():
     action = regular_fixtures()["trivial-triangle"]
     triple = compress(action)
     assert compression_ratio(action, triple) == 1.0
+
+
+def test_compress_builds_the_facets_of_the_lifts_only():
+    for name, action in regular_fixtures().items():
+        x = action.complex
+        assert check_regularity(action).regular, name
+        assert "faces_codim1" not in vars(x), name
+        compress(action)
+        assert "faces_codim1" not in vars(x), name
+        _, _, lifts = quotient(action)
+        assert x.facets_of(lifts) == [x.faces_codim1[sid] for sid in lifts], name
+        everything = range(len(x) - 1, -1, -1)  # every id, a dimension at a time
+        assert x.facets_of(everything) == [x.faces_codim1[sid] for sid in everything], name
