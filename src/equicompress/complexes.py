@@ -51,8 +51,8 @@ class SimplicialComplex:
         return facets
 
     def facets_of(self, sids):
-        """The facet lists of the given ids, in their order; one pass per run of
-        ids of one dimension, so ids given a dimension at a time take one pass each."""
+        """The facet lists of the given ids, in their order, with one pass per
+        run of ids of one dimension."""
         facets = []
         for size, bucket in groupby(map(self.simplices.__getitem__, sids), len):
             facets += self._facets(size, list(bucket))
