@@ -9,12 +9,9 @@ requirement that makes the quotient a simplicial complex (without it a free
 rotation of a polygon boundary would collapse an edge onto a single vertex).
 
 An action keeps one simplex-image row per generator, tabulated from the
-generator's vertex permutation; no other element's row is built.  The row
-starts as the permutation itself, since vertex v is simplex v.  The simplices
-of each higher dimension are read by columns, one column of vertex images per
-vertex position, and each image tuple is looked up as it comes: a hit is a
-canonical key, so the image is already sorted, and only a miss is sorted and
-looked up again.  A
+generator's vertex permutation by ``SimplicialComplex.image_ids``; no other
+element's row is built.  The row starts as the permutation itself, since
+vertex v is simplex v, and reads each higher dimension in one column pass.  A
 breadth-first walk along the generator rows gives the orbits, numbered by
 their minimal member, and a transversal t[x] carrying each orbit's minimum to
 x.  The stabilizer of a minimum is closed from Schreier generators, and
@@ -36,7 +33,7 @@ fixed; stabilizers are only built for orbits whose key repeats a vertex orbit.
 """
 
 from functools import cached_property
-from itertools import count, repeat
+from itertools import repeat
 from operator import itemgetter
 
 from . import groups
@@ -112,20 +109,7 @@ class GroupAction:
         complex_ = self.complex
         if sorted(row) != list(range(complex_.vertex_count)):
             raise NotAnAutomorphismError(f"element {g} does not permute the vertices")
-        sid_of, image = complex_.index.get, row.__getitem__
-        table = list(row)  # vertex v is simplex v
-        starts = complex_._starts
-        for size, start, stop in zip(count(2), starts[1:], starts[2:]):
-            bucket = complex_.simplices[start:stop]
-            # a hit is a canonical key, so the image is already sorted
-            columns = [map(image, map(itemgetter(i), bucket)) for i in range(size)]
-            ids = list(map(sid_of, zip(*columns)))
-            if None in ids:
-                ids = [
-                    sid_of(tuple(sorted(map(image, simplex)))) if sid is None else sid
-                    for sid, simplex in zip(ids, bucket)
-                ]
-            table += ids
+        table = complex_.image_ids(complex_, row)
         if None in table:
             simplex = complex_.simplices[table.index(None)]
             raise NotAnAutomorphismError(f"element {g} maps simplex {simplex} outside the complex")

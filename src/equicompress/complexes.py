@@ -8,12 +8,16 @@ first, and vertex v is simplex v, so a complex counts its own vertices.
 The facet lists, ``faces_codim1``, are built on first read; ``facets_of``
 reads those of a few ids only, a dimension at a time, so a caller that needs
 the facets of one simplex per orbit never builds the whole table.
+``image_ids`` carries the simplices of one complex into another along a
+vertex map, one column pass per dimension; it tabulates a group element's
+action and checks that a reconstruction's comparison map is simplicial.
 """
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import chain, combinations, count, filterfalse, groupby, repeat
+from itertools import chain, combinations, count, filterfalse, groupby, islice, repeat
 from math import comb
+from operator import itemgetter
 
 from .errors import ComplexTooLargeError, FormatError, MalformedSimplexError
 
@@ -71,6 +75,34 @@ class SimplicialComplex:
             return list(map(list, bucket))
         faces = map(combinations, bucket, repeat(size - 1))
         return list(map(list, map(map, repeat(self.index.__getitem__), faces)))
+
+    def image_ids(self, source, vertex_map):
+        """Per simplex of ``source``, the id here of the simplex spanned by its
+        vertices' images under ``vertex_map``, or None.
+
+        Vertex v is simplex v, so a vertex's image is its own id when it is a
+        vertex here.  Each higher dimension is read by columns, one column of
+        vertex images per vertex position, and each image tuple is looked up
+        as it comes: a hit is a canonical key, so the image is already sorted,
+        and only a miss is sorted and looked up again.  An image that repeats
+        a vertex spans no simplex of its size, so it is None too.
+        """
+        ids = list(islice(vertex_map, source.vertex_count))
+        if ids and not (min(ids) >= 0 and max(ids) < self.vertex_count):
+            ids = [v if 0 <= v < self.vertex_count else None for v in ids]
+        sid_of, image = self.index.get, vertex_map.__getitem__
+        starts = source._starts
+        for size, start, stop in zip(count(2), starts[1:], starts[2:]):
+            bucket = source.simplices[start:stop]
+            columns = [map(image, map(itemgetter(i), bucket)) for i in range(size)]
+            found = list(map(sid_of, zip(*columns)))
+            if None in found:
+                found = [
+                    sid_of(tuple(sorted(map(image, simplex)))) if sid is None else sid
+                    for sid, simplex in zip(found, bucket)
+                ]
+            ids += found
+        return ids
 
     def __len__(self):
         return len(self.simplices)

@@ -9,7 +9,13 @@ is the point whose coset of the lift's stabilizer is g's.  Well-definedness is
 checked on the stabilizer elements and equivariance on the generator rows,
 which is exhaustive: g and minrep(S(y), g) differ by an element of S(y), and a
 map between two G-actions that commutes with a generating set commutes with G.
-Each property has one pass, which also names its counterexample.  The
+Each verdict is one pass over whole columns: a set of the comparison's
+images for injectivity and surjectivity, one pass per generator for
+equivariance, the orbit map over the images for fibers, and for
+simpliciality ``SimplicialComplex.image_ids``, which asks whether each
+simplex of the reconstruction goes to the simplex its vertices' images span,
+so that no facet table is built.  A property that fails reruns a loop that
+names its first counterexample; a passing report runs none.  The
 brute-force cross-checks of this verdict (an equivariant isomorphism search,
 and the quotient of the recovered action) are test oracles, in
 ``tests/oracles.py``.
@@ -88,16 +94,21 @@ def verify_roundtrip(action, rc):
             break
     properties["well-defined"] = (counterexample is None, counterexample)
 
-    seen = {}
+    # comparison holds simplex ids of X, so one set of it gives both verdicts
+    images = set(comparison)
     counterexample = None
-    for sid, image in enumerate(comparison):
-        if image in seen:
-            counterexample = {"simplices": [seen[image], sid], "image": image}
-            break
-        seen[image] = sid
+    if len(images) < len(comparison):
+        seen = {}
+        for sid, image in enumerate(comparison):
+            if image in seen:
+                counterexample = {"simplices": [seen[image], sid], "image": image}
+                break
+            seen[image] = sid
     properties["injective"] = (counterexample is None, counterexample)
 
-    missing = sorted(set(range(len(action.complex))) - set(comparison))
+    missing = []
+    if len(images) < len(action.complex):
+        missing = sorted(set(range(len(action.complex))) - images)
     properties["surjective"] = (
         not missing,
         {"uncovered": missing[:5]} if missing else None,
@@ -124,21 +135,31 @@ def verify_roundtrip(action, rc):
         counterexample = {"simplex": sid, "element": h}
     properties["equivariant"] = (counterexample is None, counterexample)
 
+    # When each simplex of Z goes to the simplex its vertices' images span,
+    # the images are distinct and each facet goes to a facet of that image,
+    # so the face check holds.  Not conversely: a map sending both vertices
+    # of an edge to one of the image's vertices passes it.  So the face loop
+    # decides whenever the vertex-set pass fails, and names the counterexample.
     counterexample = None
-    for sid in range(len(rc)):
-        for fid in rc.complex.faces_codim1[sid]:
-            if comparison[fid] not in action.complex.faces_codim1[comparison[sid]]:
-                counterexample = {"simplex": sid, "face": fid}
+    if (
+        len(comparison) != len(rc.complex)
+        or action.complex.image_ids(rc.complex, comparison) != comparison
+    ):
+        for sid in range(len(rc)):
+            for fid in rc.complex.faces_codim1[sid]:
+                if comparison[fid] not in action.complex.faces_codim1[comparison[sid]]:
+                    counterexample = {"simplex": sid, "face": fid}
+                    break
+            if counterexample:
                 break
-        if counterexample:
-            break
     properties["simplicial"] = (counterexample is None, counterexample)
 
     counterexample = None
-    for sid, (y, _) in enumerate(rc.labels):
-        if orbit_map[comparison[sid]] != y:
-            counterexample = {"simplex": sid, "class": y}
-            break
+    if list(map(orbit_map.__getitem__, comparison)) != classes:
+        for sid, (y, _) in enumerate(rc.labels):
+            if orbit_map[comparison[sid]] != y:
+                counterexample = {"simplex": sid, "class": y}
+                break
     properties["fiber-preserving"] = (counterexample is None, counterexample)
 
     return EquivarianceReport(all(ok for ok, _ in properties.values()), properties)

@@ -240,3 +240,22 @@ def test_closure_matches_the_reference(simplices, extra_vertices):
     ref = reference_build_complex(simplices, vertex_count)
     assert x.vertex_count == ref.vertex_count
     assert_matches_reference(x, ref, simplices)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    source=st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True), max_size=5),
+    target=st.none()
+    | st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True), max_size=6),
+    data=st.data(),
+)
+def test_image_ids_matches_the_reference(source, target, data):
+    # target None is the full simplex on 7 vertices, where every injective map
+    # into it spans a simplex, sorted or not; the images may merge vertices
+    # and may leave the target by up to two vertex ids
+    x = build_complex(source)
+    y = build_complex([list(range(7))] if target is None else target)
+    images = st.integers(0, y.vertex_count + 1)
+    vertex_map = data.draw(st.lists(images, min_size=x.vertex_count, max_size=x.vertex_count))
+    expected = [y.index.get(tuple(sorted(vertex_map[v] for v in s))) for s in x.simplices]
+    assert y.image_ids(x, vertex_map) == expected

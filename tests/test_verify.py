@@ -269,6 +269,80 @@ def test_verifier_matches_the_reference():
     assert raised and reported
 
 
+def _vertex_set_pass(action, rc):
+    """Whether each simplex of the reconstruction goes to the simplex its
+    vertices' images span, the comparison read with ``act_on_simplex``."""
+    _, _, lifts = quotient(action)
+    comparison = [action.act_on_simplex(g, lifts[y]) for y, g in rc.labels]
+    return (
+        len(comparison) == len(rc.complex)
+        and action.complex.image_ids(rc.complex, comparison) == comparison
+    )
+
+
+def _corrupted_labels(rc):
+    """Tampered label lists for ``rc``, each a copy of some labels over others.
+
+    A vertex label copied over another vertex of its class, beside an edge;
+    a fold of vertex c onto a neighbour b whose star holds c's (each simplex
+    through c, with b added, is a simplex), which carries facets to facets,
+    so only the face loop can pass it; and two truncations, one below the
+    vertex count.
+    """
+    z, labels = rc.complex, rc.labels
+    edges = [s for s in z.simplices if len(s) == 2]
+    for a, _ in edges[:3]:
+        other = next((v for v in range(z.vertex_count) if v != a and labels[v][0] == labels[a][0]), None)
+        if other is not None:
+            copy = list(labels)
+            copy[other] = labels[a]
+            yield copy
+    folds = 0
+    for b, c in edges + [edge[::-1] for edge in edges]:
+        star = [s for s in z.simplices if c in s]
+        if folds < 2 and all(tuple(sorted({b, *s})) in z.index for s in star):
+            folded = list(range(len(z)))
+            for s in star:
+                if b not in s:
+                    folded[z.index[s]] = z.index[tuple(sorted({b, *s} - {c}))]
+            yield [labels[sid] for sid in folded]
+            folds += 1
+    yield labels[:-1]
+    yield labels[: z.vertex_count - 1]
+
+
+def test_face_loop_decides_when_the_vertex_set_pass_fails():
+    # the vertex-set pass implies the face check, not conversely: on every
+    # corruption the report matches the reference's face loop, and some pass
+    # that loop with the vertex-set pass failing
+    decided_by_the_loop = truncated = 0
+    for name, action in regular_fixtures().items():
+        for acted in (action, relabelled(action)[0]):
+            _, rc = roundtrip(acted)
+            for labels in _corrupted_labels(rc):
+                bad = ReconstructedComplex(rc.complex, labels, rc.triple)
+                doc = verify_roundtrip(acted, bad).to_doc()
+                assert doc == reference_verify_roundtrip(acted, bad).to_doc(), name
+                if len(labels) != len(rc.complex):
+                    truncated += 1
+                elif doc["properties"]["simplicial"]["ok"] and not _vertex_set_pass(acted, bad):
+                    decided_by_the_loop += 1
+    assert decided_by_the_loop and truncated
+
+
+def test_passing_verification_builds_no_facet_table():
+    def check(action, name):
+        _, rc = roundtrip(action)
+        assert verify_roundtrip(action, rc).passed, name
+        assert "faces_codim1" not in vars(action.complex), name
+        assert "faces_codim1" not in vars(rc.complex), name
+
+    for name, action in regular_fixtures().items():
+        check(action, name)
+        # relabelling reads the original's facets, so the original goes first
+        check(relabelled(action)[0], name)
+
+
 def _first_failure(action, rc, h):
     """The first label that generator h does not carry onto the label of its
     moved point, or None; read with ``act_on_simplex``, label by label."""
