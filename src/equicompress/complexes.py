@@ -77,15 +77,15 @@ class SimplicialComplex:
         return list(map(list, map(map, repeat(self.index.__getitem__), faces)))
 
     def image_ids(self, source, vertex_map):
-        """Per simplex of ``source``, the id here of the simplex spanned by its
-        vertices' images under ``vertex_map``, or None.
+        """Per simplex of ``source``, the id here of the simplex whose vertices
+        are its vertices' images under ``vertex_map``, or None when the images
+        leave this complex, repeat a vertex or span no simplex here.
 
         Vertex v is simplex v, so a vertex's image is its own id when it is a
         vertex here.  Each higher dimension is read by columns, one column of
         vertex images per vertex position, and each image tuple is looked up
         as it comes: a hit is a canonical key, so the image is already sorted,
-        and only a miss is sorted and looked up again.  An image that repeats
-        a vertex spans no simplex of its size, so it is None too.
+        and only a miss is sorted and looked up again.
         """
         ids = list(islice(vertex_map, source.vertex_count))
         if ids and not (min(ids) >= 0 and max(ids) < self.vertex_count):

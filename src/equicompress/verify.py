@@ -9,16 +9,18 @@ is the point whose coset of the lift's stabilizer is g's.  Well-definedness is
 checked on the stabilizer elements and equivariance on the generator rows,
 which is exhaustive: g and minrep(S(y), g) differ by an element of S(y), and a
 map between two G-actions that commutes with a generating set commutes with G.
-Each verdict is one pass over whole columns: a set of the comparison's
-images for injectivity and surjectivity, one pass per generator for
-equivariance, the orbit map over the images for fibers, and for
-simpliciality ``SimplicialComplex.image_ids``, which asks whether each
-simplex of the reconstruction goes to the simplex its vertices' images span,
-so that no facet table is built.  A property that fails reruns a loop that
-names its first counterexample; a passing report runs none.  The
-brute-force cross-checks of this verdict (an equivariant isomorphism search,
-and the quotient of the recovered action) are test oracles, in
-``tests/oracles.py``.
+Past well-definedness, each verdict is decided by passes over whole
+columns: one set of the comparison's images for injectivity and
+surjectivity, one pass per generator for equivariance, the orbit map over
+the images for fibers, and for simpliciality one
+``SimplicialComplex.image_ids`` pass, which checks that each simplex of the
+reconstruction goes to the simplex its vertices' images span and builds no
+facet table.  That pass implies the face check but not conversely, so when
+it fails the facet-by-facet loop decides.  The label-by-label loops run
+only on failure, to name the first counterexample; a passing report runs
+none of them.  The brute-force cross-checks of this verdict (an equivariant
+isomorphism search, and the quotient of the recovered action) are test
+oracles, in ``tests/oracles.py``.
 """
 
 from itertools import repeat
@@ -95,9 +97,9 @@ def verify_roundtrip(action, rc):
     properties["well-defined"] = (counterexample is None, counterexample)
 
     # comparison holds simplex ids of X, so one set of it gives both verdicts
-    images = set(comparison)
+    distinct = set(comparison)
     counterexample = None
-    if len(images) < len(comparison):
+    if len(distinct) < len(comparison):
         seen = {}
         for sid, image in enumerate(comparison):
             if image in seen:
@@ -107,8 +109,8 @@ def verify_roundtrip(action, rc):
     properties["injective"] = (counterexample is None, counterexample)
 
     missing = []
-    if len(images) < len(action.complex):
-        missing = sorted(set(range(len(action.complex))) - images)
+    if len(distinct) < len(action.complex):
+        missing = sorted(set(range(len(action.complex))) - distinct)
     properties["surjective"] = (
         not missing,
         {"uncovered": missing[:5]} if missing else None,
@@ -136,10 +138,11 @@ def verify_roundtrip(action, rc):
     properties["equivariant"] = (counterexample is None, counterexample)
 
     # When each simplex of Z goes to the simplex its vertices' images span,
-    # the images are distinct and each facet goes to a facet of that image,
+    # those images are distinct and each facet goes to a facet of that image,
     # so the face check holds.  Not conversely: a map sending both vertices
     # of an edge to one of the image's vertices passes it.  So the face loop
-    # decides whenever the vertex-set pass fails, and names the counterexample.
+    # decides whenever the vertex-set pass fails, or when the labels are not
+    # one per simplex of Z, and names the counterexample.
     counterexample = None
     if (
         len(comparison) != len(rc.complex)
