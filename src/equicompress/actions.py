@@ -37,7 +37,13 @@ from itertools import repeat
 from operator import itemgetter
 
 from . import groups
-from .complexes import SimplicialComplex, barycentric_subdivision, complex_to_doc
+from .complexes import (
+    SimplicialComplex,
+    barycentric_subdivision,
+    chain_counts,
+    complex_to_doc,
+    subdivision_to_doc,
+)
 from .errors import (
     FormatError,
     GroupTooLargeError,
@@ -65,6 +71,16 @@ class RegularityReport:
         }
 
 
+def _check_orbit_budget(order, orbits):
+    # each orbit holds a stabilizer of |G| / |orbit| elements and a coset map
+    # of |G| entries once they are built
+    if order * orbits > groups.MAX_TABLE_ENTRIES:
+        raise GroupTooLargeError(
+            f"stabilizers of {orbits} orbits under a group of order "
+            f"{order} exceed the maximum of {groups.MAX_TABLE_ENTRIES} table entries"
+        )
+
+
 class GroupAction:
     """A finite group acting on a complex, given one vertex permutation per generator.
 
@@ -89,13 +105,7 @@ class GroupAction:
             self._simplex_row(g, row) for g, row in zip(group.generators, generator_images)
         ]
         self.orbit_ids, self._transversal, self._orbits = self._walk_orbits()
-        # each orbit holds a stabilizer of |G| / |orbit| elements and a coset
-        # map of |G| entries once they are built
-        if group.order * len(self._orbits) > groups.MAX_TABLE_ENTRIES:
-            raise GroupTooLargeError(
-                f"stabilizers of {len(self._orbits)} orbits under a group of order "
-                f"{group.order} exceed the maximum of {groups.MAX_TABLE_ENTRIES} table entries"
-            )
+        _check_orbit_budget(group.order, len(self._orbits))
         self._vertex_stabilizers = self._check_vertex_orbits()
 
     @classmethod
@@ -368,15 +378,69 @@ def induced_action_on_subdivision(action):
     )
 
 
-def action_to_doc(action):
-    """The action's document; generator names are zero-padded to one width, so
-    that sorted keys list the generators in index order."""
-    n = action.complex.vertex_count  # vertex v is simplex v
-    rows = action.generator_rows
+def subdivision_orbit_count(action):
+    """The orbit count of ``induced_action_on_subdivision(action)``, subdividing nothing.
+
+    The subdivision's orbits topped in an orbit O of the action are the orbits
+    of S, the stabilizer of O's minimum sigma, on the chains of faces topped
+    at sigma.  g fixes such a chain exactly when each face is a union of g's
+    cycles on sigma's vertices, so by Burnside's lemma there are
+    (1 / |S|) * sum over g in S of c_(r(g) - 1), with r(g) the number of
+    cycles and c the chain counts.  If O's key repeats no vertex orbit, S
+    fixes sigma pointwise (see the module docstring), so the term is
+    c_(dim sigma) and no stabilizer is built.
+    """
+    tops = chain_counts(action.complex.dim)
+    count = 0
+    for oid, key in enumerate(action.orbit_keys):
+        if len(set(key)) == len(key):
+            count += tops[len(key) - 1]
+            continue
+        simplex = action.complex.simplices[action._orbits[oid][0]]
+        stabilizer = action._stabilizers[oid].elements
+        fixed = 0
+        for g in stabilizer:
+            image = {v: action.act_on_simplex(g, v) for v in simplex}
+            cycles = 0
+            for v in simplex:
+                if v in image:
+                    cycles += 1
+                    while v in image:
+                        v = image.pop(v)
+            fixed += tops[cycles - 1]
+        count += fixed // len(stabilizer)
+    return count
+
+
+def _generators_doc(rows, n):
+    """The generators' images of n vertices by name; names are zero-padded to
+    one width, so that sorted keys list the generators in index order."""
     width = len(str(len(rows) - 1))
+    return {"generators": {f"g{i:0{width}}": row[:n] for i, row in enumerate(rows)}}
+
+
+def action_to_doc(action):
+    # vertex v is simplex v, so a generator row starts with its vertex images
     return {
-        "group": {"generators": {f"g{i:0{width}}": row[:n] for i, row in enumerate(rows)}},
+        "group": _generators_doc(action.generator_rows, action.complex.vertex_count),
         "complex": complex_to_doc(action.complex),
+    }
+
+
+def induced_action_to_doc(action):
+    """``action_to_doc(induced_action_on_subdivision(action))``, subdividing nothing.
+
+    The subdivision's vertex v is the action's simplex v, so a generator's
+    vertex images there are its simplex row here, and a simplicial
+    automorphism of the complex induces one of its subdivision: nothing is
+    left to check but the simplex cap and then the orbit budget, each raising
+    as the induced action would.
+    """
+    complex_doc = subdivision_to_doc(action.complex)
+    _check_orbit_budget(action.group.order, subdivision_orbit_count(action))
+    return {
+        "group": _generators_doc(action.generator_rows, len(action.complex)),
+        "complex": complex_doc,
     }
 
 

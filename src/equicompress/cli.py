@@ -17,10 +17,21 @@ import sys
 from functools import cache
 
 from . import groups
-from .actions import action_from_doc, action_to_doc, check_regularity, quotient
+from .actions import (
+    action_from_doc,
+    action_to_doc,
+    check_regularity,
+    induced_action_to_doc,
+    quotient,
+)
 from .bench import CLOSURE_SIZES, FAMILIES, growth_exponents, rows_to_csv, run_bench
 from .cog import triple_from_doc, triple_to_doc, validate_triple
-from .complexes import barycentric_subdivision, complex_from_doc, complex_to_doc
+from .complexes import (
+    barycentric_subdivision,
+    complex_from_doc,
+    complex_to_doc,
+    subdivision_to_doc,
+)
 from .compress import compress, compression_ratio
 from .errors import (
     ComplexTooLargeError,
@@ -31,7 +42,7 @@ from .errors import (
     TripleValidationError,
 )
 from .families import subdivide_action
-from .reconstruct import reconstruct
+from .reconstruct import reconstruct, reconstruction_to_doc
 from .verify import verify_roundtrip
 
 EXIT_OK = 0
@@ -105,18 +116,23 @@ def cmd_check_regular(args):
 
 
 def cmd_subdivide(args):
+    # the last level is written from the one below it, which is built and checked
     try:
         if args.action:
-            action = subdivide_action(_load_action(args.complex, args.action), args.times)
-            _dump(action_to_doc(action), args.out)
+            action = _load_action(args.complex, args.action)
+            if args.times:
+                doc = induced_action_to_doc(subdivide_action(action, args.times - 1))
+            else:
+                doc = action_to_doc(action)
         elif args.complex is None:
             raise FormatError("required unless --action is given", "--complex")
         else:
             complex_ = _load_complex(args.complex)
             # the subdivision of points is the identity
-            for _ in range(args.times if complex_.dim > 0 else 0):
+            for _ in range(args.times - 1 if complex_.dim > 0 else 0):
                 complex_ = barycentric_subdivision(complex_)
-            _dump(complex_to_doc(complex_), args.out)
+            doc = subdivision_to_doc(complex_) if args.times else complex_to_doc(complex_)
+        _dump(doc, args.out)
     except (ComplexTooLargeError, GroupTooLargeError) as exc:
         raise FormatError(str(exc), "--times") from exc
     return EXIT_OK
@@ -150,13 +166,7 @@ def cmd_reconstruct(args):
         rc = reconstruct(triple)
     except ComplexTooLargeError as exc:
         raise FormatError(str(exc), "$.stabilizers") from exc
-    _dump(
-        {
-            "complex": complex_to_doc(rc.complex),
-            "labels": list(map(list, rc.labels)),
-        },
-        args.out,
-    )
+    _dump(reconstruction_to_doc(rc), args.out)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, combinations, count, filterfalse, groupby, islice, repeat
 from math import comb
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import ComplexTooLargeError, FormatError, MalformedSimplexError
 
@@ -110,10 +110,13 @@ class SimplicialComplex:
     def counts_by_dim(self):
         return [stop - start for start, stop in zip(self._starts, self._starts[1:])]
 
-    def maximal_simplices(self):
+    def maximal_ids(self):
+        """The ids of the simplices that are no simplex's facet, ascending."""
         facets = set(chain.from_iterable(self.faces_codim1))
-        maximal = filterfalse(facets.__contains__, range(len(self.simplices)))
-        return list(map(self.simplices.__getitem__, maximal))
+        return list(filterfalse(facets.__contains__, range(len(self.simplices))))
+
+    def maximal_simplices(self):
+        return list(map(self.simplices.__getitem__, self.maximal_ids()))
 
     def __repr__(self):
         return (
@@ -160,17 +163,32 @@ def complexes_equal(a, b):
     return a.simplices == b.simplices
 
 
-def subdivision_size(complex_):
-    """Exact simplex count of the barycentric subdivision, listing no chain.
+def chain_counts(dim):
+    """c_0 .. c_dim: the chains of faces a d-simplex tops.
 
-    A chain of faces is counted at its top simplex.  A d-simplex tops
-    c_d = 1 + sum over k < d of C(d+1, k+1) * c_k chains (itself alone, or
-    itself over a chain topped by one of its k-faces): 1, 3, 13, 75, 541, ...
+    A d-simplex tops c_d = 1 + sum over k < d of C(d+1, k+1) * c_k chains
+    (itself alone, or itself over a chain topped by one of its k-faces):
+    1, 3, 13, 75, 541, ...
     """
     tops = []
-    for d in range(complex_.dim + 1):
+    for d in range(dim + 1):
         tops.append(1 + sum(comb(d + 1, k + 1) * tops[k] for k in range(d)))
+    return tops
+
+
+def subdivision_size(complex_):
+    """Exact simplex count of the barycentric subdivision, listing no chain;
+    a chain of faces is counted at its top simplex."""
+    tops = chain_counts(complex_.dim)
     return sum(n * tops[d] for d, n in enumerate(complex_.counts_by_dim()))
+
+
+def _check_subdivision_size(complex_):
+    size = subdivision_size(complex_)
+    if size > MAX_SIMPLICES:
+        raise ComplexTooLargeError(
+            f"subdivision of {size} simplices exceeds the maximum {MAX_SIMPLICES}"
+        )
 
 
 def barycentric_subdivision(complex_):
@@ -181,11 +199,7 @@ def barycentric_subdivision(complex_):
     ComplexTooLargeError, before any chain is listed, when the subdivision
     would hold more than MAX_SIMPLICES simplices.
     """
-    size = subdivision_size(complex_)
-    if size > MAX_SIMPLICES:
-        raise ComplexTooLargeError(
-            f"subdivision of {size} simplices exceeds the maximum {MAX_SIMPLICES}"
-        )
+    _check_subdivision_size(complex_)
     index = complex_.index
     chains_at = []  # per simplex, the chains topped at it
     for sid, simplex in enumerate(complex_.simplices):
@@ -196,6 +210,26 @@ def barycentric_subdivision(complex_):
                 chains.extend(chain + (sid,) for chain in chains_at[index[face]])
         chains_at.append(chains)
     return SimplicialComplex([chain for chains in chains_at for chain in chains])
+
+
+def subdivision_to_doc(complex_):
+    """``complex_to_doc(barycentric_subdivision(complex_))``, subdividing nothing.
+
+    The subdivision has one vertex per simplex here, and its maximal simplices
+    are the full flags sigma_0 < ... < sigma_d = sigma, one for each maximal
+    sigma here.  A vertex's one flag is itself, and any other simplex's flags
+    extend its facets' flags by the simplex; they are written in canonical
+    order.  Raises ComplexTooLargeError as ``barycentric_subdivision`` does.
+    """
+    _check_subdivision_size(complex_)
+    flags = []  # per simplex, its full flags
+    for sid, facets in enumerate(complex_.faces_codim1):
+        top = (sid,)
+        below = chain.from_iterable(map(flags.__getitem__, facets))
+        flags.append(list(map(add, below, repeat(top))) if facets else [top])
+    full = sorted(chain.from_iterable(map(flags.__getitem__, complex_.maximal_ids())))
+    full.sort(key=len)
+    return {"vertices": len(complex_), "maximal_simplices": list(map(list, full))}
 
 
 def complex_to_doc(complex_):

@@ -16,7 +16,7 @@ force: the face relation recomputed over every comparable label pair is the
 containment order of the complex.
 """
 
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import itemgetter
 
 from .actions import GroupAction
@@ -119,6 +119,24 @@ def reconstruct(triple):
     for sid, label in zip(map(complex_.index.__getitem__, vertex_sets), labels):
         ordered[sid] = label
     return ReconstructedComplex(complex_, ordered, triple)
+
+
+def reconstruction_to_doc(rc):
+    """The reconstruction's document: its complex, and the label per simplex.
+
+    G is transitive on each class's labels, so a label is maximal exactly when
+    its class is maximal in the quotient, whose facets ``reconstruct`` read:
+    the reconstruction's own facet table is never built.
+    """
+    maximal = set(rc.triple.quotient.maximal_ids())
+    keep = map(maximal.__contains__, map(itemgetter(0), rc.labels))
+    return {
+        "complex": {
+            "vertices": rc.complex.vertex_count,
+            "maximal_simplices": list(map(list, compress(rc.complex.simplices, keep))),
+        },
+        "labels": list(map(list, rc.labels)),
+    }
 
 
 def recovered_action(rc):

@@ -15,6 +15,7 @@ from equicompress.actions import (
     check_regularity,
     induced_action_on_subdivision,
     quotient,
+    subdivision_orbit_count,
 )
 from equicompress.complexes import barycentric_subdivision, build_complex, complexes_equal
 from equicompress.errors import (
@@ -260,6 +261,56 @@ def test_induced_action_on_subdivision_is_compatible():
     for g in range(action.group.order):
         for v in range(len(action.complex)):
             assert induced.act_on_simplex(g, v) == action.act_on_simplex(g, v)
+
+
+def _s4_tetrahedron_action():
+    return GroupAction.from_generator_perms(
+        [[1, 0, 2, 3], [1, 2, 3, 0]], build_complex([[0, 1, 2, 3]])
+    )
+
+
+@st.composite
+def small_g_complexes(draw):
+    """A permutation group of degree at most 6 and a complex it maps onto
+    itself: the union of the group's images of up to three random simplices."""
+    n = draw(st.integers(1, 6))
+    perms = draw(st.lists(st.permutations(range(n)), max_size=2))
+    elements = {tuple(range(n))}
+    frontier = list(elements)
+    while frontier:
+        new = {tuple(p[v] for v in g) for g in frontier for p in perms} - elements
+        elements |= new
+        frontier = list(new)
+    vertex = st.integers(0, n - 1)
+    seeds = draw(st.lists(st.lists(vertex, min_size=1, max_size=4, unique=True), max_size=3))
+    simplices = {tuple(sorted(g[v] for v in s)) for s in seeds for g in elements}
+    return GroupAction.from_generator_perms(perms, build_complex(simplices, n))
+
+
+def _orbit_count_corpus():
+    """Every fixture, and three raw actions whose setwise stabilizers move
+    vertices, so the count takes Burnside's branch."""
+    corpus = dict(regular_fixtures())
+    corpus.update((name, action) for name, (action, _) in irregular_fixtures().items())
+    corpus["c3-triangle-raw"] = c3_triangle_action()
+    corpus["klein-bowtie-raw"] = klein_four_bowtie_action()
+    corpus["S4-tetrahedron-raw"] = _s4_tetrahedron_action()
+    return corpus
+
+
+def test_subdivision_orbit_count_matches_the_induced_action():
+    burnside = 0
+    for name, action in _orbit_count_corpus().items():
+        count = subdivision_orbit_count(action)
+        assert count == len(induced_action_on_subdivision(action)._orbits), name
+        burnside += any(len(set(key)) < len(key) for key in action.orbit_keys)
+    assert burnside >= 3
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(small_g_complexes())
+def test_subdivision_orbit_count_matches_on_random_g_complexes(action):
+    assert subdivision_orbit_count(action) == len(induced_action_on_subdivision(action)._orbits)
 
 
 def test_action_doc_roundtrip():

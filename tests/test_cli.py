@@ -12,11 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equicompress
-from equicompress import actions, cli, cog, groups
+from equicompress import actions, cli, cog, complexes, groups
 from equicompress.actions import GroupAction, action_to_doc, quotient
 from equicompress.cli import main
 from equicompress.cog import triple_from_doc, triple_to_doc
-from equicompress.complexes import build_complex, complex_to_doc, subdivision_size
+from equicompress.complexes import (
+    barycentric_subdivision,
+    build_complex,
+    complex_to_doc,
+    subdivision_size,
+)
 from equicompress.compress import compress
 from equicompress.families import (
     c3_triangle_action,
@@ -131,6 +136,80 @@ def test_subdivide_of_points_runs_no_pass(tmp_path, capsys, monkeypatch, form):
     assert main([*argv, "--times", "1000"]) == 0
     assert capsys.readouterr().out == unsubdivided
     assert calls == []
+
+
+def _subdivide_corpus():
+    """Every fixture, the raw actions that violate (1), and a dimension-0 action."""
+    corpus = dict(regular_fixtures())
+    corpus.update((name, action) for name, (action, _) in irregular_fixtures().items())
+    corpus["c3-triangle-raw"] = c3_triangle_action()
+    corpus["S4-tetrahedron-raw"] = GroupAction.from_generator_perms(
+        [[1, 0, 2, 3], [1, 2, 3, 0]], build_complex([[0, 1, 2, 3]])
+    )
+    corpus["points"] = GroupAction.from_generator_perms([[1, 2, 0]], build_complex([], 3))
+    return corpus
+
+
+def _compact(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("times", [0, 1, 2])
+def test_subdivide_writes_the_last_level_without_building_it(tmp_path, monkeypatch, times):
+    # each input's output is the document of its subdivided action or complex,
+    # byte for byte; only the levels below the last one are built
+    cases = []
+    for name, action in _subdivide_corpus().items():
+        expected = subdivide_action(action, times)
+        complex_ = action.complex
+        for _ in range(times if complex_.dim > 0 else 0):
+            complex_ = barycentric_subdivision(complex_)
+        assert len(complex_) == len(expected.complex)
+        argvs = (
+            ["--action", write(tmp_path, f"{name}.json", action_to_doc(action))],
+            ["--complex", write(tmp_path, f"{name}-complex.json", complex_to_doc(action.complex))],
+        )
+        docs = (action_to_doc(expected), complex_to_doc(complex_))
+        for argv, doc in zip(argvs, docs):
+            cases.append((name, argv, _compact(doc), len(complex_), action.complex.dim))
+
+    subdivisions = []
+    subdivide = complexes.barycentric_subdivision
+    for module in (cli, actions):
+        monkeypatch.setattr(
+            module, "barycentric_subdivision", lambda c: subdivisions.append(c) or subdivide(c)
+        )
+    built = []
+    construct = complexes.SimplicialComplex.__init__
+
+    def counted_construct(self, simplices):
+        construct(self, simplices)
+        built.append(len(self))
+
+    monkeypatch.setattr(complexes.SimplicialComplex, "__init__", counted_construct)
+    out = tmp_path / "out.json"
+    for name, argv, text, size, dim in cases:
+        subdivisions.clear()
+        built.clear()
+        assert main(["subdivide", *argv, "--times", str(times), "--out", str(out)]) == 0, name
+        assert out.read_text() == text, (name, argv[0])
+        assert len(subdivisions) == (max(times - 1, 0) if dim > 0 else 0), (name, argv[0])
+        if times and dim > 0:
+            assert size not in built, (name, argv[0])
+
+
+def test_subdivide_names_the_simplex_cap_before_the_orbit_budget(tmp_path, monkeypatch, capsys):
+    # the antipodal hexagon's 12 simplices, 6 orbits under C_2, fit both
+    # limits; its subdivision's 24 simplices in 12 orbits pass each of them
+    monkeypatch.setattr(groups, "MAX_TABLE_ENTRIES", 12)
+    monkeypatch.setattr(complexes, "MAX_SIMPLICES", 20)
+    path = write(tmp_path, "hexagon.json", action_to_doc(hexagon_antipodal_action()))
+    assert main(["check-regular", "--action", path]) == 0
+    capsys.readouterr()
+    assert main(["subdivide", "--action", path, "--times", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --times: subdivision of 24 simplices exceeds the maximum 20\n"
+    )
 
 
 def test_generator_names_sort_in_index_order(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import json
 import random
 from collections import Counter
 
 import pytest
 
-from equicompress.actions import check_regularity
+from equicompress import cli
+from equicompress.actions import action_to_doc, check_regularity
 from equicompress.bench import counted
 from equicompress.cog import CompressedTriple
 from equicompress.complexes import build_complex, complexes_equal
@@ -11,7 +13,7 @@ from equicompress.compress import compress
 from equicompress.errors import EquicompressError, TripleValidationError
 from equicompress.families import cycle_rotation_action, regular_fixtures
 from equicompress.groups import Subgroup, enumerate_from_generators
-from equicompress.reconstruct import reconstruct, recovered_action
+from equicompress.reconstruct import reconstruct, reconstruction_to_doc, recovered_action
 
 from oracles import check_development, check_partial_order
 
@@ -203,3 +205,48 @@ def test_mutated_triples_are_refused_or_reconstruct_closed():
             assert check_development(rc), name
             outcomes["closed"] += 1
     assert outcomes["refused"] > 0 and outcomes["closed"] > 0, outcomes
+
+
+def test_written_maximal_simplices_are_read_off_the_quotient():
+    # a label is maximal exactly when its class is maximal in the quotient;
+    # the reconstruction's own facet table is never built for the document
+    rng = random.Random(30)
+    for name, action in regular_fixtures().items():
+        triple = compress(action)
+        closed = [triple]
+        while len(closed) < 8:
+            try:
+                reconstruct(bad := mutated(triple, rng))
+            except EquicompressError:
+                continue
+            closed.append(bad)
+        for t in closed:
+            rc = reconstruct(t)
+            doc = reconstruction_to_doc(rc)
+            assert "faces_codim1" not in vars(rc.complex), name
+            written = doc["complex"]["maximal_simplices"]
+            assert written == list(map(list, rc.complex.maximal_simplices())), name
+            assert doc["complex"]["vertices"] == rc.complex.vertex_count
+            assert doc["labels"] == list(map(list, rc.labels))
+
+
+def test_reconstruct_command_builds_no_facet_table(tmp_path, monkeypatch, capsys):
+    kept = []
+
+    def kept_reconstruct(triple):
+        kept.append(reconstruct(triple))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, "reconstruct", kept_reconstruct)
+    action = regular_fixtures()["klein-bowtie-sd2"]
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(action_to_doc(action)))
+    triple = tmp_path / "triple.json"
+    assert cli.main(["compress", "--action", str(path), "--out", str(triple)]) == 0
+    out = tmp_path / "z.json"
+    assert cli.main(["reconstruct", "--triple", str(triple), "--out", str(out)]) == 0
+    capsys.readouterr()
+    (rc,) = kept
+    assert "faces_codim1" not in vars(rc.complex)
+    written = json.loads(out.read_text())["complex"]["maximal_simplices"]
+    assert written == list(map(list, rc.complex.maximal_simplices()))
