@@ -30,6 +30,10 @@ Condition (2) fails exactly when two orbits share a key.
 Condition (3) implies (1): a setwise stabilizer maps each vertex into its own
 orbit, which under (3) meets the simplex in that vertex alone, so the vertex is
 fixed; stabilizers are only built for orbits whose key repeats a vertex orbit.
+``induced_action_to_doc`` writes the document of the induced action on the
+subdivision from the action alone: its generator rows, its orbit keys and,
+for an orbit whose key repeats a vertex orbit, its stabilizer, which the
+orbit budget's count of the subdivision's orbits reads.
 """
 
 from functools import cached_property

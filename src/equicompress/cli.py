@@ -5,6 +5,11 @@ triple, roundtrip mismatch), 2 malformed input.  All JSON output is compact
 with sorted keys, one line written by ``json``'s C encoder, so files are
 byte-deterministic given the inputs and flags.
 
+``subdivide --times n`` builds and checks n - 1 levels and writes the last
+one from the level below it, never building it; ``reconstruct`` reads the
+reconstruction's maximal simplices off the quotient's, never building the
+reconstruction's facet table.
+
 ``main`` pauses the cyclic garbage collector while a command runs and then
 restores the state it found.  No command makes a reference cycle, so
 reference counting frees all it allocates, and a collection would only scan.

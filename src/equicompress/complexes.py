@@ -11,6 +11,9 @@ the facets of one simplex per orbit never builds the whole table.
 ``image_ids`` carries the simplices of one complex into another along a
 vertex map, one column pass per dimension; it tabulates a group element's
 action and checks that a reconstruction's comparison map is simplicial.
+``subdivision_to_doc`` writes a subdivision's document from the complex
+alone, reading its facet table for the full flags, so the written level of a
+repeated subdivision is never built.
 """
 
 from bisect import bisect_left
